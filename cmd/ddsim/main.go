@@ -596,7 +596,8 @@ func printEngineStats(e *dd.Engine) {
 		m.VLive, m.VCapacity, m.VTombstones, m.MLive, m.MCapacity, m.MTombstones)
 	fmt.Printf("  arenas:          v %d chunks (%d free), m %d chunks (%d free)\n",
 		m.VChunks, m.VFree, m.MChunks, m.MFree)
-	fmt.Printf("  weight table:    %d representatives\n", e.WeightTableSize())
+	fmt.Printf("  weight table:    %d representatives (%d hits, %d misses)\n",
+		e.WeightTableSize(), s.WeightHits, s.WeightMisses)
 }
 
 func fatal(err error) {

@@ -214,6 +214,9 @@ func TestVerifierStatsCarryAcrossRepair(t *testing.T) {
 		if res.Stats.MatVecMuls == 0 || res.Stats.MatVecMuls > 1<<30 {
 			t.Fatalf("implausible MatVecMuls %d after engine swap", res.Stats.MatVecMuls)
 		}
+		if res.Stats.WeightMisses == 0 || res.Stats.WeightMisses > 1<<40 {
+			t.Fatalf("implausible WeightMisses %d after engine swap", res.Stats.WeightMisses)
+		}
 		if res.Engine == eng {
 			t.Fatal("result still points at the retired engine")
 		}

@@ -44,27 +44,34 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 	if a.N.V != b.N.V {
 		panic(fmt.Sprintf("dd: Add on mismatched levels %d vs %d", a.N.V, b.N.V))
 	}
-	// Canonical operand order: addition commutes.
-	if a.N.id > b.N.id {
+	// Canonical operand order, since addition commutes: the larger
+	// magnitude first (ties, within magGreater's margin, to the lower node
+	// id), so that |r| below stays at most about one and a+b and b+a
+	// share a cache entry.
+	if magGreater(b.W, a.W) || (!magGreater(a.W, b.W) && b.N.id < a.N.id) {
 		a, b = b, a
 	}
-	aW := e.weights.Lookup(a.W)
-	bW := e.weights.Lookup(b.W)
-	idx := mixW(mixW(mix(a.N.id, b.N.id), aW), bW) & cacheMask
+	// Factor a.W out: a + b = a.W·(a.N + r·b.N) with r = b.W/a.W, so
+	// the cache keys on (a.N, b.N, r) and the unscaled sum is shared by
+	// every pair of operand weights in that ratio.
+	r := e.weights.Lookup(b.W / a.W)
+	if r == cnum.Zero {
+		return e.scaleV(VEdge{W: cnum.One, N: a.N}, a.W)
+	}
+	idx := mixW(mix(a.N.id, b.N.id), r) & cacheMask
 	e.stats.AddV.Lookups++
-	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id && s.aW == aW && s.bW == bW {
+	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id && s.r == r {
 		e.stats.AddV.Hits++
-		return s.r
+		return e.scaleV(s.sum, a.W)
 	}
 	var children [2]VEdge
 	for i := 0; i < 2; i++ {
-		ca := VEdge{W: aW * a.N.E[i].W, N: a.N.E[i].N}
-		cb := VEdge{W: bW * b.N.E[i].W, N: b.N.E[i].N}
-		children[i] = e.addV(ca, cb)
+		cb := VEdge{W: r * b.N.E[i].W, N: b.N.E[i].N}
+		children[i] = e.addV(a.N.E[i], cb)
 	}
-	r := e.makeVNode(a.N.V, children[0], children[1])
-	e.addVTab[idx] = addVSlot{aN: a.N.id, bN: b.N.id, aW: aW, bW: bW, r: r, gen: e.cacheGen}
-	return r
+	sum := e.makeVNode(a.N.V, children[0], children[1])
+	e.addVTab[idx] = addVSlot{aN: a.N.id, bN: b.N.id, r: r, sum: sum, gen: e.cacheGen}
+	return e.scaleV(sum, a.W)
 }
 
 // AddM returns the element-wise sum of two matrix diagrams.
@@ -104,26 +111,28 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 	if a.N.V != b.N.V {
 		panic(fmt.Sprintf("dd: AddM on mismatched levels %d vs %d", a.N.V, b.N.V))
 	}
-	if a.N.id > b.N.id {
+	// Operand order and factoring as in addV.
+	if magGreater(b.W, a.W) || (!magGreater(a.W, b.W) && b.N.id < a.N.id) {
 		a, b = b, a
 	}
-	aW := e.weights.Lookup(a.W)
-	bW := e.weights.Lookup(b.W)
-	idx := mixW(mixW(mix(a.N.id, b.N.id), aW), bW) & cacheMask
+	r := e.weights.Lookup(b.W / a.W)
+	if r == cnum.Zero {
+		return e.scaleM(MEdge{W: cnum.One, N: a.N}, a.W)
+	}
+	idx := mixW(mix(a.N.id, b.N.id), r) & cacheMask
 	e.stats.AddM.Lookups++
-	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id && s.aW == aW && s.bW == bW {
+	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id && s.r == r {
 		e.stats.AddM.Hits++
-		return s.r
+		return e.scaleM(s.sum, a.W)
 	}
 	var children [4]MEdge
 	for i := 0; i < 4; i++ {
-		ca := MEdge{W: aW * a.N.E[i].W, N: a.N.E[i].N}
-		cb := MEdge{W: bW * b.N.E[i].W, N: b.N.E[i].N}
-		children[i] = e.addM(ca, cb)
+		cb := MEdge{W: r * b.N.E[i].W, N: b.N.E[i].N}
+		children[i] = e.addM(a.N.E[i], cb)
 	}
-	r := e.makeMNode(a.N.V, children)
-	e.addMTab[idx] = addMSlot{aN: a.N.id, bN: b.N.id, aW: aW, bW: bW, r: r, gen: e.cacheGen}
-	return r
+	sum := e.makeMNode(a.N.V, children)
+	e.addMTab[idx] = addMSlot{aN: a.N.id, bN: b.N.id, r: r, sum: sum, gen: e.cacheGen}
+	return e.scaleM(sum, a.W)
 }
 
 // MulVec returns the matrix-vector product m×v (Fig. 3 of the paper, a

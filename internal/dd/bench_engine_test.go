@@ -1,6 +1,8 @@
 package dd
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"time"
@@ -130,5 +132,34 @@ func BenchmarkMulVecGate(b *testing.B) {
 		if e.VNodeCount()+e.MNodeCount() > 150_000 {
 			e.GarbageCollect([]VEdge{v}, gates)
 		}
+	}
+}
+
+// BenchmarkAddV adds two warm 12-qubit states at 64 operand scales and
+// four weight ratios. A cache keyed on both operand weights would miss
+// on every new scale; keyed on the ratio b.W/a.W, every sum after the
+// warm-up pass is one add-cache hit rescaled by a.W. CI greps this
+// benchmark for 0 allocs/op alongside BenchmarkMulVec.
+func BenchmarkAddV(b *testing.B) {
+	e := New()
+	rng := rand.New(rand.NewSource(7))
+	x := e.FromVector(randState(rng, 12))
+	y := e.FromVector(randState(rng, 12))
+	scales := make([]complex128, 64)
+	for i := range scales {
+		scales[i] = cmplx.Rect(0.5+rng.Float64(), 2*math.Pi*rng.Float64())
+	}
+	ratios := []complex128{1, cmplx.Rect(0.5, 1), 1e-3i, -1e-6}
+	add := func(i int) VEdge {
+		s, r := scales[i&63], ratios[(i>>6)&3]
+		return e.Add(VEdge{W: x.W * s, N: x.N}, VEdge{W: y.W * s * r, N: y.N})
+	}
+	for i := 0; i < 256; i++ {
+		add(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add(i)
 	}
 }

@@ -744,8 +744,11 @@ func TestStatsCounters(t *testing.T) {
 	if s.MatVecMuls != 1 || s.MatMatMuls != 1 {
 		t.Fatalf("mul counters = (%d,%d), want (1,1)", s.MatVecMuls, s.MatMatMuls)
 	}
+	if h, m := e.weights.Stats(); s.WeightHits != h || s.WeightMisses != m || m == 0 {
+		t.Fatalf("weight counters = (%d,%d), table reports (%d,%d)", s.WeightHits, s.WeightMisses, h, m)
+	}
 	e.ResetStats()
-	if e.Stats().MatVecMuls != 0 {
+	if s := e.Stats(); s.MatVecMuls != 0 || s.WeightHits != 0 || s.WeightMisses != 0 {
 		t.Fatal("ResetStats did not clear counters")
 	}
 }

@@ -252,6 +252,13 @@ type Stats struct {
 	MulMV CacheStats
 	MulMM CacheStats
 
+	// WeightHits and WeightMisses are the weight table's counters (see
+	// cnum.Table.Stats): canonicalisations answered by an existing
+	// representative and ones that registered a new one. Stats() fills
+	// them in.
+	WeightHits   uint64
+	WeightMisses uint64
+
 	NodesCreated  uint64
 	NodesRecycled uint64 // dead nodes returned to the arena free lists by GC
 
@@ -313,17 +320,19 @@ const (
 	scratchMask = scratchSize - 1
 )
 
+// The add caches key on the operand nodes and the canonical weight
+// ratio r = b.W/a.W, and hold the sum with a.W factored out (see addV).
 type addVSlot struct {
 	aN, bN uint32
-	aW, bW complex128
-	r      VEdge
+	r      complex128
+	sum    VEdge
 	gen    uint32
 }
 
 type addMSlot struct {
 	aN, bN uint32
-	aW, bW complex128
-	r      MEdge
+	r      complex128
+	sum    MEdge
 	gen    uint32
 }
 
@@ -394,16 +403,21 @@ func (e *Engine) SetIdentitySkip(enabled bool) { e.noIdentitySkip = !enabled }
 func (e *Engine) IdentitySkipEnabled() bool { return !e.noIdentitySkip }
 
 // Stats returns a snapshot of the engine's counters, with the aggregate
-// cache fields derived from the per-cache ones.
+// cache fields derived from the per-cache ones and the weight-table
+// counters read from the table.
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.CacheHits = s.AddV.Hits + s.AddM.Hits + s.MulMV.Hits + s.MulMM.Hits
 	s.CacheLookups = s.AddV.Lookups + s.AddM.Lookups + s.MulMV.Lookups + s.MulMM.Lookups
+	s.WeightHits, s.WeightMisses = e.weights.Stats()
 	return s
 }
 
 // ResetStats zeroes all counters (table contents are preserved).
-func (e *Engine) ResetStats() { e.stats = Stats{} }
+func (e *Engine) ResetStats() {
+	e.stats = Stats{}
+	e.weights.ResetStats()
+}
 
 // MemStats returns a snapshot of unique-table and arena occupancy.
 func (e *Engine) MemStats() MemStats {
