@@ -582,6 +582,7 @@ func printEngineStats(e *dd.Engine) {
 	cache("add-m", s.AddM)
 	cache("mul-mv", s.MulMV)
 	cache("mul-mm", s.MulMM)
+	cache("gate", s.Gate)
 	fmt.Printf("  mul recursions:  %d (add recursions %d)\n", s.MulRecursions, s.AddRecursions)
 	skips := s.IdentitySkipsMV + s.IdentitySkipsMM
 	if e.IdentitySkipEnabled() {

@@ -333,6 +333,8 @@ func statsDelta(cur, base dd.Stats) dd.Stats {
 	d.MulMV.Hits -= base.MulMV.Hits
 	d.MulMM.Lookups -= base.MulMM.Lookups
 	d.MulMM.Hits -= base.MulMM.Hits
+	d.Gate.Lookups -= base.Gate.Lookups
+	d.Gate.Hits -= base.Gate.Hits
 	d.WeightHits -= base.WeightHits
 	d.WeightMisses -= base.WeightMisses
 	d.NodesCreated -= base.NodesCreated
@@ -368,6 +370,8 @@ func statsSum(a, b dd.Stats) dd.Stats {
 	s.MulMV.Hits += b.MulMV.Hits
 	s.MulMM.Lookups += b.MulMM.Lookups
 	s.MulMM.Hits += b.MulMM.Hits
+	s.Gate.Lookups += b.Gate.Lookups
+	s.Gate.Hits += b.Gate.Hits
 	s.WeightHits += b.WeightHits
 	s.WeightMisses += b.WeightMisses
 	s.NodesCreated += b.NodesCreated

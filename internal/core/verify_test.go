@@ -217,6 +217,9 @@ func TestVerifierStatsCarryAcrossRepair(t *testing.T) {
 		if res.Stats.WeightMisses == 0 || res.Stats.WeightMisses > 1<<40 {
 			t.Fatalf("implausible WeightMisses %d after engine swap", res.Stats.WeightMisses)
 		}
+		if g := res.Stats.Gate; g.Lookups < uint64(len(c.Gates)) || g.Lookups > 1<<40 || g.Hits > g.Lookups {
+			t.Fatalf("implausible gate memo counters %+v after engine swap (%d gates)", g, len(c.Gates))
+		}
 		if res.Engine == eng {
 			t.Fatal("result still points at the retired engine")
 		}

@@ -740,6 +740,8 @@ func TestStatsCounters(t *testing.T) {
 	g := e.GateDD(gH, 3, 0, nil)
 	_ = e.MulVec(g, v)
 	_ = e.MulMat(g, g)
+	_ = e.GateDD(gH, 3, 0, nil)
+	_ = e.GateDD(gX, 3, 1, []Control{Pos(0)})
 	s := e.Stats()
 	if s.MatVecMuls != 1 || s.MatMatMuls != 1 {
 		t.Fatalf("mul counters = (%d,%d), want (1,1)", s.MatVecMuls, s.MatMatMuls)
@@ -747,8 +749,14 @@ func TestStatsCounters(t *testing.T) {
 	if h, m := e.weights.Stats(); s.WeightHits != h || s.WeightMisses != m || m == 0 {
 		t.Fatalf("weight counters = (%d,%d), table reports (%d,%d)", s.WeightHits, s.WeightMisses, h, m)
 	}
+	if s.Gate != (CacheStats{Lookups: 3, Hits: 1}) {
+		t.Fatalf("gate memo counters = %+v, want 3 lookups, 1 hit", s.Gate)
+	}
+	if want := s.AddV.Lookups + s.AddM.Lookups + s.MulMV.Lookups + s.MulMM.Lookups; s.CacheLookups != want {
+		t.Fatalf("CacheLookups = %d, want %d (gate memo must stay out of the aggregate)", s.CacheLookups, want)
+	}
 	e.ResetStats()
-	if s := e.Stats(); s.MatVecMuls != 0 || s.WeightHits != 0 || s.WeightMisses != 0 {
+	if s := e.Stats(); s.MatVecMuls != 0 || s.WeightHits != 0 || s.WeightMisses != 0 || s.Gate != (CacheStats{}) {
 		t.Fatal("ResetStats did not clear counters")
 	}
 }
@@ -815,11 +823,25 @@ func BenchmarkMulMatSmallGates(b *testing.B) {
 	}
 }
 
+// BenchmarkGateDD times a repeated gate, which the memo answers after
+// the first build; CI greps it for 0 allocs/op.
 func BenchmarkGateDD(b *testing.B) {
 	e := New()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.GateDD(gX, 24, 12, []Control{Pos(3), Neg(17)})
+	}
+}
+
+// BenchmarkGateDDBuild times the same gate through the memo's miss
+// path, the level sweep.
+func BenchmarkGateDDBuild(b *testing.B) {
+	e := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = buildGateDirect(e, gX, 24, 12, []Control{Pos(3), Neg(17)})
 	}
 }
 

@@ -2,6 +2,7 @@ package dd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -36,14 +37,62 @@ func Neg(q int) Control { return Control{Qubit: q, Negative: true} }
 // ref [25] of the paper: gate DDs come out linear in n, never via
 // explicit Kronecker products of dense matrices.
 //
+// Results are memoised per cache generation (see gateSlot): a gate
+// already built since the last GarbageCollect or abort returns the
+// stored edge, which is the edge a rebuild would reach through
+// unique-table hits. Registers wider than 64 qubits bypass the memo.
+//
 // u is indexed u[row][col].
 func (e *Engine) GateDD(u [2][2]complex128, n, target int, controls []Control) MEdge {
+	pos, neg := e.loadControls(n, target, controls)
+	if n > 64 {
+		return e.buildGate(u, n, target)
+	}
+
+	k := gateKey{pos: pos, neg: neg, n: int32(n), target: int32(target)}
+	for i, x := range [4]complex128{u[0][0], u[0][1], u[1][0], u[1][1]} {
+		k.u[2*i] = math.Float64bits(real(x))
+		k.u[2*i+1] = math.Float64bits(imag(x))
+	}
+	s := &e.gateTab[k.hash()>>(64-gateBits)]
+	e.stats.Gate.Lookups++
+	if s.gen == e.cacheGen && s.key == k {
+		e.stats.Gate.Hits++
+		return s.r
+	}
+	r := e.buildGate(u, n, target)
+	*s = gateSlot{key: k, r: r, gen: e.cacheGen}
+	return r
+}
+
+// hash folds every key word with a downward shift after the multiply:
+// multiplication alone carries a top-bit difference nowhere else, so
+// two sign flips (sqrt(X) against sqrt(Y)) would cancel out. The memo
+// indexes on the top bits.
+func (k *gateKey) hash() uint64 {
+	h := uint64(k.n)<<8 | uint64(k.target)
+	fold := func(w uint64) {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	for _, w := range k.u {
+		fold(w)
+	}
+	fold(k.pos)
+	fold(k.neg)
+	return h
+}
+
+// loadControls validates a gate's target and controls, records each
+// qubit's control kind in ctlBuf for buildGate — an engine-owned
+// scratch buffer, since a map here costs an allocation plus a hashed
+// lookup per level — and returns the positive and negative control
+// masks, the memo key's order-free form of the same controls (zero
+// above qubit 63, where the memo is bypassed).
+func (e *Engine) loadControls(n, target int, controls []Control) (pos, neg uint64) {
 	if target < 0 || target >= n {
 		panic(fmt.Sprintf("dd: GateDD: target %d out of range for %d qubits", target, n))
 	}
-	// Per-qubit control kind, in an engine-owned scratch buffer — GateDD
-	// runs once per gate, and a map here costs an allocation plus a
-	// hashed lookup per level.
 	if cap(e.ctlBuf) < n {
 		e.ctlBuf = make([]ctlKind, n)
 	}
@@ -63,10 +112,20 @@ func (e *Engine) GateDD(u [2][2]complex128, n, target int, controls []Control) M
 		}
 		if c.Negative {
 			ctl[c.Qubit] = ctlNeg
+			neg |= 1 << uint(c.Qubit)
 		} else {
 			ctl[c.Qubit] = ctlPos
+			pos |= 1 << uint(c.Qubit)
 		}
 	}
+	return pos, neg
+}
+
+// buildGate is GateDD's level sweep, the memo's miss path: it builds
+// the gate from scratch with the controls loadControls recorded in
+// ctlBuf.
+func (e *Engine) buildGate(u [2][2]complex128, n, target int) MEdge {
+	ctl := e.ctlBuf[:n]
 
 	// em[2*row+col] tracks, for each entry of the target-level 2x2 block,
 	// the sub-diagram on the qubits processed so far (all below target).

@@ -213,6 +213,11 @@ func (s *Server) recover() error {
 	for _, msg := range skipped {
 		s.cfg.Logf("serve: quarantined damaged journal entry %s", msg)
 	}
+	// Jobs requeued early in the loop may already be running on pool
+	// workers, which read the job table and job status under s.mu; they
+	// wait here until recovery is done. Nothing below waits on a worker.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range entries {
 		e := e
 		j := &job{spec: e.Spec, status: e.Status, priority: priorityFor(e.Spec.Priority)}
