@@ -240,7 +240,11 @@ func (t *Table) Stats() (hits, misses uint64) {
 }
 
 // ResetStats zeroes the hit and miss counters; the representatives stay.
-func (t *Table) ResetStats() { t.hits, t.misses = 0, 0 }
+func (t *Table) ResetStats() { t.SetStats(0, 0) }
+
+// SetStats overwrites the hit and miss counters; the representatives
+// stay.
+func (t *Table) SetStats(hits, misses uint64) { t.hits, t.misses = hits, misses }
 
 // Reset discards all representatives and statistics.
 func (t *Table) Reset() {

@@ -232,13 +232,11 @@ type Options struct {
 	// SiftGrowth is the growth factor over the post-sift baseline size
 	// that triggers the next sifting pass (default 2). SiftMinNodes is
 	// the state size below which sifting is never attempted (default
-	// 256). SiftMaxSwaps bounds the swaps of one pass (default 8·n²,
-	// enough for a few full rounds; sifting additionally aborts with
-	// the run's deadline/budget/cancellation machinery, probed at every
-	// swap).
+	// 256). One pass makes at most 8·n² swaps for n qubits, enough for
+	// a few full rounds; sifting additionally aborts with the run's
+	// deadline/budget/cancellation machinery, probed at every swap.
 	SiftGrowth   float64
 	SiftMinNodes int
-	SiftMaxSwaps int
 	// SoftBudget arms the memory-pressure governor (see governor.go and
 	// DESIGN.md §15): live-node occupancy is banded against
 	// PressureWatermarks fractions of this target, and at flush
@@ -523,19 +521,18 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	}
 	ro := newRunObserver(opt, eng)
 	r := &runner{
-		eng:       eng,
-		c:         c,
-		opt:       opt,
-		ctx:       ctx,
-		obs:       ro,
-		ver:       ver,
-		v:         v,
-		next:      opt.StartGate,
-		applied:   opt.StartGate,
-		lastCkpt:  opt.StartGate,
-		stateSz:   -1,
-		statsBase: statsBefore,
-		order:     order,
+		eng:      eng,
+		c:        c,
+		opt:      opt,
+		ctx:      ctx,
+		obs:      ro,
+		ver:      ver,
+		v:        v,
+		next:     opt.StartGate,
+		applied:  opt.StartGate,
+		lastCkpt: opt.StartGate,
+		stateSz:  -1,
+		order:    order,
 	}
 	r.buildPos()
 	if governorArmed(opt) {
@@ -573,18 +570,16 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		}
 	}
 
-	// Engine swaps fold retired-engine counters into r.carried; the run
-	// delta is carried plus the current engine's growth, and Result.Stats
-	// stays cumulative relative to the pre-run snapshot (bit-identical to
-	// the current engine's own stats when no swap happened).
-	runDelta := statsSum(r.carried, statsDelta(r.eng.Stats(), r.statsBase))
+	// An engine swapped in by a repair continues the retired engine's
+	// counters, so the current engine's stats are the run's totals.
+	stats := r.eng.Stats()
 	res := &Result{
 		State:        r.v,
 		Engine:       r.eng,
-		Stats:        statsSum(statsBefore, runDelta),
+		Stats:        stats,
 		Duration:     time.Since(start),
-		MatVecSteps:  int(runDelta.MatVecMuls),
-		MatMatSteps:  int(runDelta.MatMatMuls),
+		MatVecSteps:  int(stats.MatVecMuls - statsBefore.MatVecMuls),
+		MatMatSteps:  int(stats.MatMatMuls - statsBefore.MatMatMuls),
 		GatesApplied: r.applied,
 		Fallbacks:    r.fallbacks,
 		Order:        append([]int(nil), r.order...),
@@ -624,9 +619,10 @@ type runner struct {
 	v    dd.VEdge
 	next int // index of the next gate to absorb
 
-	acc      dd.MEdge // accumulated operation matrix
+	// acc is the accumulated operation matrix; while valid it covers
+	// gates [applied, next).
+	acc      dd.MEdge
 	accValid bool
-	accStart int // first gate index covered by acc
 	combined int
 	// applied is the gate index through which v reflects the circuit.
 	applied int
@@ -659,11 +655,6 @@ type runner struct {
 	// ver is the integrity-verification state (nil unless the run asked
 	// for VerifyEvery/Paranoid); see verify.go.
 	ver *verifier
-	// carried accumulates the counter contributions of engines retired
-	// by corruption repairs; statsBase is the current engine's snapshot
-	// at the point this run started using it.
-	carried   dd.Stats
-	statsBase dd.Stats
 }
 
 // runRecovering is the outermost backstop: any panic not already
@@ -679,98 +670,86 @@ func (r *runner) runRecovering() (err error) {
 	return r.run()
 }
 
+// run drives the simulation to the end of the circuit. Every failure
+// of a step funnels through maybeRepairOnPanic, which turns kernel
+// panics into a repair when verification is on and passes everything
+// else through. A repair rewinds r.next to the last applied gate, so
+// even the final flush can hand gates back to the loop.
 func (r *runner) run() error {
 	blocks := r.blockIndex()
-	for r.next < len(r.c.Gates) {
-		if err := r.checkAbort(); err != nil {
+	for r.next < len(r.c.Gates) || r.accValid {
+		if err := r.maybeRepairOnPanic(r.step(blocks)); err != nil {
 			return err
-		}
-		if b, ok := blocks[r.next]; ok && r.opt.UseBlocks {
-			if err := r.flush(r.next); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := r.runBlock(b); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := r.absorbNext(); err != nil {
-			if err = r.maybeRepairOnPanic(err); err != nil {
-				return err
-			}
-			continue
-		}
-		opSz := -1
-		opSize := func() int {
-			if opSz < 0 {
-				opSz = r.eng.SizeM(r.acc)
-			}
-			return opSz
-		}
-		stateSize := func() int {
-			if r.stateSz < 0 {
-				r.stateSz = r.eng.SizeV(r.v)
-			}
-			return r.stateSz
-		}
-		if r.accValid && (r.govPinned() || r.opt.Strategy.ShouldApply(r.combined, opSize, stateSize)) {
-			r.notePlannerDecision()
-			if err := r.flush(r.next); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
-					return err
-				}
-				continue
-			}
-			// Reorder only at flush boundaries: the accumulator is
-			// invalid here, so no combined matrix can go stale against
-			// the new order.
-			if err := r.maybeReorder(); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		r.maybeGC()
-		if err := r.maybeGovern(); err != nil {
-			if err = r.maybeRepairOnPanic(err); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := r.maybeCheckpoint(); err != nil {
-			return err
-		}
-		if err := r.maybeVerify(false); err != nil {
-			return err
-		}
-	}
-	if err := r.flush(len(r.c.Gates)); err != nil {
-		if err = r.maybeRepairOnPanic(err); err != nil {
-			return err
-		}
-		// The repair replayed through the last applied gate; the final
-		// flush target may still be ahead, so re-run the tail.
-		if r.next < len(r.c.Gates) {
-			return r.run()
 		}
 	}
 	return r.maybeVerify(true)
 }
 
+// step advances the run by one unit: a whole repeated block, one
+// absorbed gate plus the flush the strategy asks for and the boundary
+// sequence, or — once every gate is absorbed — the final flush.
+func (r *runner) step(blocks map[int]circuit.Block) error {
+	if r.next == len(r.c.Gates) {
+		return r.flush(r.next)
+	}
+	if err := r.checkAbort(); err != nil {
+		return err
+	}
+	if b, ok := blocks[r.next]; ok && r.opt.UseBlocks {
+		if err := r.flush(r.next); err != nil {
+			return err
+		}
+		return r.runBlock(b)
+	}
+	if err := r.absorbNext(); err != nil {
+		return err
+	}
+	opSz := -1
+	opSize := func() int {
+		if opSz < 0 {
+			opSz = r.eng.SizeM(r.acc)
+		}
+		return opSz
+	}
+	stateSize := func() int {
+		if r.stateSz < 0 {
+			r.stateSz = r.eng.SizeV(r.v)
+		}
+		return r.stateSz
+	}
+	if r.accValid && (r.govPinned() || r.opt.Strategy.ShouldApply(r.combined, opSize, stateSize)) {
+		r.notePlannerDecision()
+		if err := r.flush(r.next); err != nil {
+			return err
+		}
+		// Reorder only at flush boundaries: the accumulator is invalid
+		// here, so no combined matrix can go stale against the new order.
+		if err := r.maybeReorder(); err != nil {
+			return err
+		}
+	}
+	return r.boundary()
+}
+
+// boundary is the upkeep between steps, shared by the main loop and a
+// block's repeat loop: GC, the pressure governor, the periodic
+// checkpoint and the verification pass, in that order.
+func (r *runner) boundary() error {
+	r.maybeGC()
+	if err := r.maybeGovern(); err != nil {
+		return err
+	}
+	if err := r.maybeCheckpoint(); err != nil {
+		return err
+	}
+	return r.maybeVerify(false)
+}
+
 // absorbNext multiplies the next gate onto the accumulated operation
 // matrix. A budget abort mid-product discards the accumulator and
-// degrades to sequential replay of the covered gate run.
+// degrades to sequential replay through the gate.
 func (r *runner) absorbNext() error {
 	i := r.next
-	if !r.accValid {
-		r.accStart = i
-	}
 	err := r.guard(i, func() {
 		gd := r.gateDD(r.c.Gates[i])
 		if r.accValid {
@@ -782,14 +761,10 @@ func (r *runner) absorbNext() error {
 			r.combined = 1
 		}
 	})
-	if err == nil {
-		r.next++
-		return nil
+	if err != nil {
+		return r.tryFallback(err, i+1)
 	}
-	if ferr := r.tryFallback(err, r.accStart, i+1); ferr != nil {
-		return ferr
-	}
-	r.next = i + 1
+	r.next++
 	return nil
 }
 
@@ -803,21 +778,21 @@ func (r *runner) flush(gateIndex int) error {
 	err := r.guard(gateIndex, func() {
 		r.applyOp(op, gateIndex, combined, false, "", false)
 	})
-	if err == nil {
-		r.accValid = false
-		r.combined = 0
-		return nil
+	if err != nil {
+		return r.tryFallback(err, gateIndex)
 	}
-	return r.tryFallback(err, r.accStart, gateIndex)
+	r.accValid = false
+	r.combined = 0
+	return nil
 }
 
 // tryFallback is the graceful-degradation path: after a budget abort
-// covering gates [from, to), it discards the accumulated matrix,
-// collects garbage, and replays that gate run sequentially (one small
-// gate DD and one matrix-vector product at a time). Any abort during
-// the replay — including hitting the budget again — is final.
-func (r *runner) tryFallback(runErr *RunError, from, to int) error {
-	if runErr.Kind != FailureBudget || r.opt.DisableFallback || r.inFallback {
+// on the way to gate index to, it discards the accumulated matrix,
+// collects garbage, and replays the gates from the last applied one
+// through to sequentially. Any abort during the replay — including
+// hitting the budget again — is final.
+func (r *runner) tryFallback(runErr *RunError, to int) error {
+	if runErr.Kind != FailureBudget || r.opt.DisableFallback {
 		return runErr
 	}
 	r.accValid = false
@@ -825,11 +800,19 @@ func (r *runner) tryFallback(runErr *RunError, from, to int) error {
 	r.collect()
 	r.fallbacks++
 	if r.obs != nil {
-		r.obs.fallback(runErr.GateIndex, to-from)
+		r.obs.fallback(runErr.GateIndex, to-r.applied)
 	}
 	r.inFallback = true
 	defer func() { r.inFallback = false }()
-	for i := from; i < to; i++ {
+	return r.replay(to)
+}
+
+// replay re-applies gates [r.applied, to) one at a time — a small gate
+// DD and one matrix-vector product each, no accumulated matrix — and
+// leaves r.next at to. It is the one recovery loop: budget fallback
+// and corruption repair both reach their target through it.
+func (r *runner) replay(to int) error {
+	for i := r.applied; i < to; i++ {
 		g := r.c.Gates[i]
 		if err := r.guard(i, func() {
 			r.applyOp(r.gateDD(g), i+1, 1, false, "", false)
@@ -838,6 +821,7 @@ func (r *runner) tryFallback(runErr *RunError, from, to int) error {
 		}
 		r.maybeGC()
 	}
+	r.next = to
 	return nil
 }
 
@@ -896,21 +880,10 @@ func (r *runner) siftMinNodes() int {
 	return r.opt.SiftMinNodes
 }
 
-func (r *runner) siftMaxSwaps() int {
-	if r.opt.SiftMaxSwaps > 0 {
-		return r.opt.SiftMaxSwaps
-	}
-	n := r.c.NQubits
-	return 8 * n * n
-}
-
 // maybeReorder runs one sifting pass when the state DD has outgrown
 // the post-sift baseline. Called only at flush boundaries (the
 // accumulator is invalid), so combined operation matrices never go
-// stale against the new order. A cooperative abort inside sifting —
-// the swap primitive probes the deadline/budget/cancellation layer on
-// every swap — leaves r.v and r.order untouched (SiftV works on a
-// scratch copy of the order) and surfaces through the usual guard.
+// stale against the new order.
 func (r *runner) maybeReorder() error {
 	if r.opt.Reorder != "sifting" || r.accValid {
 		return nil
@@ -926,18 +899,30 @@ func (r *runner) maybeReorder() error {
 	if r.siftBase == 0 {
 		r.siftBase = sz
 	}
-	if float64(sz) < r.siftGrowth()*float64(r.siftBase) {
+	if float64(sz) < r.siftGrowth()*float64(r.siftBase) || !r.siftHeadroom() {
 		return nil
 	}
-	// Sifting under a nearly exhausted node budget would spend the
-	// remaining headroom on intermediate diagrams and abort the run
-	// over an optimisation; skip until collection makes room.
-	if r.opt.MaxNodes > 0 && (r.eng.VNodeCount()+r.eng.MNodeCount())*2 > r.opt.MaxNodes {
-		return nil
-	}
+	return r.sift()
+}
+
+// siftHeadroom reports whether a sifting pass fits the hard budget:
+// sifting under a nearly exhausted budget would spend the remaining
+// headroom on intermediate diagrams and abort the run over a remedy.
+func (r *runner) siftHeadroom() bool {
+	return r.opt.MaxNodes <= 0 || (r.eng.VNodeCount()+r.eng.MNodeCount())*2 <= r.opt.MaxNodes
+}
+
+// sift runs one sifting pass over the state DD and adopts the order it
+// finds; both the Reorder "sifting" trigger and the governor's rung 3
+// call it. A cooperative abort inside sifting — the swap primitive
+// probes the deadline/budget/cancellation layer on every swap — leaves
+// r.v and r.order untouched (SiftV works on a scratch copy of the
+// order) and surfaces through the usual guard.
+func (r *runner) sift() error {
+	n := r.c.NQubits
 	order := r.order
 	if order == nil {
-		order = dd.IdentityOrder(r.c.NQubits)
+		order = dd.IdentityOrder(n)
 	} else {
 		order = append([]int(nil), order...)
 	}
@@ -946,7 +931,8 @@ func (r *runner) maybeReorder() error {
 		sres   dd.SiftResult
 	)
 	if err := r.guard(r.next, func() {
-		sifted, sres = r.eng.SiftV(r.v, order, r.siftMaxSwaps())
+		// At most 8·n² swaps: enough for a few full rounds.
+		sifted, sres = r.eng.SiftV(r.v, order, 8*n*n)
 	}); err != nil {
 		return err
 	}
@@ -1021,9 +1007,10 @@ func (r *runner) blockIndex() map[int]circuit.Block {
 }
 
 // runBlock executes a repeated block DD-repeating style: combine the
-// body once, then apply the same matrix Repeat times. Budget aborts —
-// while combining or applying — degrade to sequential replay of the
-// block's remaining gates.
+// body once, then apply the same matrix Repeat times, with the boundary
+// sequence after each repeat. Budget aborts — while combining or
+// applying — degrade to sequential replay of the block's remaining
+// gates.
 func (r *runner) runBlock(b circuit.Block) error {
 	body := b.End - b.Start
 	end := b.Start + b.Repeat*body
@@ -1038,11 +1025,7 @@ func (r *runner) runBlock(b circuit.Block) error {
 		}
 	})
 	if err != nil {
-		if ferr := r.tryFallback(err, b.Start, end); ferr != nil {
-			return ferr
-		}
-		r.next = end
-		return nil
+		return r.tryFallback(err, end)
 	}
 	r.blockMats = append(r.blockMats, mat)
 	// A corruption repair inside the loop swaps the engine and nils
@@ -1052,42 +1035,28 @@ func (r *runner) runBlock(b circuit.Block) error {
 			r.blockMats = r.blockMats[:n-1]
 		}
 	}
+	eng := r.eng
 	for i := 0; i < b.Repeat; i++ {
 		if err := r.checkAbort(); err != nil {
 			popBlockMat()
 			return err
 		}
 		upTo := b.Start + (i+1)*body
-		err := r.guard(upTo, func() {
+		if err := r.guard(upTo, func() {
 			r.applyOp(mat, upTo, body, true, b.Name, i > 0)
-		})
-		if err != nil {
+		}); err != nil {
+			// Unroot the block matrix before the fallback collects.
 			popBlockMat()
-			if ferr := r.tryFallback(err, r.applied, end); ferr != nil {
-				return ferr
-			}
-			r.next = end
-			return nil
+			return r.tryFallback(err, end)
 		}
-		r.maybeGC()
-		if err := r.maybeGovern(); err != nil {
+		if err := r.boundary(); err != nil {
 			popBlockMat()
 			return err
 		}
-		if err := r.maybeCheckpoint(); err != nil {
-			popBlockMat()
-			return err
-		}
-		engBefore := r.eng
-		if err := r.maybeVerify(false); err != nil {
-			popBlockMat()
-			return err
-		}
-		if r.eng != engBefore {
+		if r.eng != eng {
 			// A repair rebuilt the state on a fresh engine; the combined
 			// block matrix died with the old one. Hand the block's
 			// remaining gates back to the main loop (gate-at-a-time).
-			r.next = r.applied
 			return nil
 		}
 	}

@@ -248,11 +248,13 @@ func (g *governor) act(p dd.PressureInfo) error {
 	// DD itself. Skipped while a combined block matrix is alive (it
 	// would go stale against the new order), when sifting's own
 	// intermediates would not fit the hard budget, and re-attempted at
-	// most once per gate position.
-	if g.lastSiftGate != r.applied && len(r.blockMats) == 0 && g.siftHeadroom() {
+	// most once per gate position. Unlike maybeReorder it is not gated
+	// on Options.Reorder: under pressure the governor may shrink the
+	// state even in fixed-order runs.
+	if g.lastSiftGate != r.applied && len(r.blockMats) == 0 && r.siftHeadroom() {
 		g.lastSiftGate = r.applied
 		before, lvl := p.Live, p.Level
-		if err := r.governorSift(); err != nil {
+		if err := r.sift(); err != nil {
 			return err
 		}
 		p = r.eng.Pressure()
@@ -312,50 +314,6 @@ func (g *governor) grow(nb int) {
 		r.eng.SetBudget(nb)
 	}
 	r.eng.SetSoftBudget(nb, r.opt.PressureWatermarks)
-}
-
-// siftHeadroom mirrors maybeReorder's guard: sifting under a nearly
-// exhausted hard budget would spend the remaining headroom on
-// intermediate diagrams and abort the run over a remedy.
-func (g *governor) siftHeadroom() bool {
-	r := g.r
-	if r.opt.MaxNodes <= 0 {
-		return true
-	}
-	return (r.eng.VNodeCount()+r.eng.MNodeCount())*2 <= r.opt.MaxNodes
-}
-
-// governorSift runs one sifting pass unconditionally (unlike
-// maybeReorder it is not gated on Options.Reorder — under pressure the
-// governor may shrink the state even in fixed-order runs). The order,
-// position map and sift baseline are updated exactly as maybeReorder
-// does, so a subsequent Reorder "sifting" trigger stays consistent.
-func (r *runner) governorSift() error {
-	order := r.order
-	if order == nil {
-		order = dd.IdentityOrder(r.c.NQubits)
-	} else {
-		order = append([]int(nil), order...)
-	}
-	var (
-		sifted dd.VEdge
-		sres   dd.SiftResult
-	)
-	if err := r.guard(r.next, func() {
-		sifted, sres = r.eng.SiftV(r.v, order, r.siftMaxSwaps())
-	}); err != nil {
-		return err
-	}
-	r.v = sifted
-	r.order = order
-	r.buildPos()
-	r.stateSz = sres.After
-	r.siftBase = sres.After
-	r.collect()
-	if r.obs != nil {
-		r.obs.reorderEv(r.applied, sres)
-	}
-	return nil
 }
 
 // approximate runs rung 4: cut the state DD down to g.approxNodes,

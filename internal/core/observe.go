@@ -30,10 +30,6 @@ type runObserver struct {
 
 	startStats dd.Stats // engine snapshot at run start (run totals)
 	prev       dd.Stats // snapshot at the previous step boundary (deltas)
-	// carried holds counter contributions of engines retired by
-	// corruption repairs, so run_end totals span all engines the run
-	// touched.
-	carried dd.Stats
 }
 
 // runMetrics holds the instruments a run updates. Names are stable API
@@ -180,27 +176,18 @@ func (o *runObserver) step(si stepInfo) {
 	}
 	cur := o.eng.Stats()
 	d := obs.Event{
-		Kind:            obs.KindStep,
-		Gate:            si.gate,
-		WallNS:          si.wall.Nanoseconds(),
-		Combined:        si.combined,
-		OpNodes:         si.opNodes,
-		StateNodes:      si.stateNodes,
-		MatVecMuls:      cur.MatVecMuls - o.prev.MatVecMuls,
-		MatMatMuls:      cur.MatMatMuls - o.prev.MatMatMuls,
-		MulRecursions:   cur.MulRecursions - o.prev.MulRecursions,
-		IdentitySkipsMV: cur.IdentitySkipsMV - o.prev.IdentitySkipsMV,
-		IdentitySkipsMM: cur.IdentitySkipsMM - o.prev.IdentitySkipsMM,
-		CacheLookups:    cur.CacheLookups - o.prev.CacheLookups,
-		CacheHits:       cur.CacheHits - o.prev.CacheHits,
-		NodesCreated:    cur.NodesCreated - o.prev.NodesCreated,
-		GCs:             cur.GCs - o.prev.GCs,
-		GCPauseNS:       (cur.GCPause - o.prev.GCPause).Nanoseconds(),
-		Fallback:        si.fallback,
-		FromBlock:       si.fromBlock,
-		Block:           si.block,
-		BlockReuse:      si.reuse,
+		Kind:       obs.KindStep,
+		Gate:       si.gate,
+		WallNS:     si.wall.Nanoseconds(),
+		Combined:   si.combined,
+		OpNodes:    si.opNodes,
+		StateNodes: si.stateNodes,
+		Fallback:   si.fallback,
+		FromBlock:  si.fromBlock,
+		Block:      si.block,
+		BlockReuse: si.reuse,
 	}
+	setCounterDeltas(&d, cur, o.prev)
 	o.prev = cur
 	if m := o.met; m != nil {
 		m.steps.Inc()
@@ -334,14 +321,28 @@ func (o *runObserver) repairEv(gate, replayed int, check string) {
 	o.emit(obs.Event{Kind: obs.KindRepair, Gate: gate, Combined: replayed, Check: check})
 }
 
+// setCounterDeltas fills e's engine-counter fields with the growth
+// from base to cur.
+func setCounterDeltas(e *obs.Event, cur, base dd.Stats) {
+	e.MatVecMuls = cur.MatVecMuls - base.MatVecMuls
+	e.MatMatMuls = cur.MatMatMuls - base.MatMatMuls
+	e.MulRecursions = cur.MulRecursions - base.MulRecursions
+	e.IdentitySkipsMV = cur.IdentitySkipsMV - base.IdentitySkipsMV
+	e.IdentitySkipsMM = cur.IdentitySkipsMM - base.IdentitySkipsMM
+	e.CacheLookups = cur.CacheLookups - base.CacheLookups
+	e.CacheHits = cur.CacheHits - base.CacheHits
+	e.NodesCreated = cur.NodesCreated - base.NodesCreated
+	e.GCs = cur.GCs - base.GCs
+	e.GCPauseNS = (cur.GCPause - base.GCPause).Nanoseconds()
+}
+
 // engineSwapped re-points the observer at the fresh engine after a
-// corruption repair, folding the retired engine's counters into the
-// carried totals so run_end still reports the whole run.
-func (o *runObserver) engineSwapped(old dd.Stats, fresh *dd.Engine) {
-	o.carried = statsSum(o.carried, statsDelta(old, o.startStats))
+// corruption repair. The fresh engine continues the retired one's
+// counters, so run_end totals need no adjustment; the next step's
+// deltas count from retired, the retired engine's final snapshot.
+func (o *runObserver) engineSwapped(retired dd.Stats, fresh *dd.Engine) {
 	o.eng = fresh
-	o.startStats = dd.Stats{} // fresh engines count from zero
-	o.prev = dd.Stats{}
+	o.prev = retired
 }
 
 // finish emits the abort event (for failed runs) and the closing
@@ -356,32 +357,24 @@ func (o *runObserver) finish(applied, stateNodes, fallbacks, degradations int, f
 		}
 		o.emit(obs.Event{Kind: obs.KindAbort, Gate: re.GateIndex, Abort: abort})
 	}
-	totals := statsSum(o.carried, statsDelta(o.eng.Stats(), o.startStats))
-	o.emit(obs.Event{
-		Kind:            obs.KindRunEnd,
-		Gate:            applied,
-		Circuit:         o.circuit,
-		TotalGates:      o.total,
-		WallNS:          time.Since(o.started).Nanoseconds(),
-		StateNodes:      stateNodes,
-		MatVecMuls:      totals.MatVecMuls,
-		MatMatMuls:      totals.MatMatMuls,
-		MulRecursions:   totals.MulRecursions,
-		IdentitySkipsMV: totals.IdentitySkipsMV,
-		IdentitySkipsMM: totals.IdentitySkipsMM,
-		CacheLookups:    totals.CacheLookups,
-		CacheHits:       totals.CacheHits,
-		NodesCreated:    totals.NodesCreated,
-		GCs:             totals.GCs,
-		GCPauseNS:       totals.GCPause.Nanoseconds(),
-		PeakNodes:       totals.PeakVNodes + totals.PeakMNodes,
-		Fallbacks:       fallbacks,
-		Abort:           abort,
-		Swaps:           totals.ReorderSwaps,
-		SiftPasses:      totals.SiftPasses,
-		Degradations:    degradations,
-		FidelityBound:   runEndFidelity(degradations, fidelityBound),
-	})
+	cur := o.eng.Stats()
+	e := obs.Event{
+		Kind:          obs.KindRunEnd,
+		Gate:          applied,
+		Circuit:       o.circuit,
+		TotalGates:    o.total,
+		WallNS:        time.Since(o.started).Nanoseconds(),
+		StateNodes:    stateNodes,
+		PeakNodes:     cur.PeakVNodes + cur.PeakMNodes,
+		Fallbacks:     fallbacks,
+		Abort:         abort,
+		Swaps:         cur.ReorderSwaps - o.startStats.ReorderSwaps,
+		SiftPasses:    cur.SiftPasses - o.startStats.SiftPasses,
+		Degradations:  degradations,
+		FidelityBound: runEndFidelity(degradations, fidelityBound),
+	}
+	setCounterDeltas(&e, cur, o.startStats)
+	o.emit(e)
 }
 
 // runEndFidelity keeps the run_end fidelity_bound field omitted (zero)

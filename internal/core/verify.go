@@ -226,10 +226,7 @@ func (r *runner) attemptRepair(check string, ierr error) error {
 	}
 
 	target := r.applied
-	fresh := dd.New()
-	rebuilt := fresh.CopyV(r.ver.snap)
-	r.swapEngine(fresh)
-	r.v = rebuilt
+	r.swapEngine(r.ver.snap)
 	r.applied = r.ver.snapGate
 	r.accValid = false
 	r.combined = 0
@@ -240,19 +237,11 @@ func (r *runner) attemptRepair(check string, ierr error) error {
 	r.buildPos()
 	r.siftBase = 0
 
-	// Replay the in-flight gates one at a time — small gate DDs, no
-	// accumulated matrix — so the rebuilt engine reaches the state the
-	// corrupt one claimed to be at.
-	for i := r.ver.snapGate; i < target; i++ {
-		g := r.c.Gates[i]
-		if err := r.guard(i, func() {
-			r.applyOp(r.gateDD(g), i+1, 1, false, "", false)
-		}); err != nil {
-			return corruption(errors.Join(ierr, err))
-		}
-		r.maybeGC()
+	// Replay the in-flight gates so the rebuilt engine reaches the state
+	// the corrupt one claimed to be at.
+	if err := r.replay(target); err != nil {
+		return corruption(errors.Join(ierr, err))
 	}
-	r.next = target
 	if r.obs != nil {
 		r.obs.repairEv(target, target-r.ver.snapGate, check)
 	}
@@ -273,16 +262,17 @@ func (r *runner) attemptRepair(check string, ierr error) error {
 	return nil
 }
 
-// swapEngine retires the runner's engine for a fresh one: the old
-// engine's counter contribution is folded into the carried totals, the
-// abort sources move over, and the observer is re-pointed. Block
-// matrices die with the old engine; runBlock notices the identity
-// change and falls back to gate-at-a-time execution.
-func (r *runner) swapEngine(fresh *dd.Engine) {
+// swapEngine retires the runner's engine for a fresh one holding a
+// re-canonicalised copy of snap. The fresh engine continues the old
+// one's counters, the abort sources move over, and the observer is
+// re-pointed. Block matrices die with the old engine; runBlock notices
+// the identity change and falls back to gate-at-a-time execution.
+func (r *runner) swapEngine(snap dd.VEdge) {
 	old := r.eng
 	oldStats := old.Stats()
-	r.carried = statsSum(r.carried, statsDelta(oldStats, r.statsBase))
-	r.statsBase = dd.Stats{}
+	fresh := dd.New()
+	fresh.ContinueStats(old)
+	r.v = fresh.CopyV(snap)
 
 	old.SetDeadline(time.Time{})
 	old.SetBudget(0)
@@ -309,94 +299,4 @@ func (r *runner) swapEngine(fresh *dd.Engine) {
 	if rb, ok := r.opt.Strategy.(runBound); ok {
 		rb.bindRun(fresh, r.c, r.next)
 	}
-}
-
-// statsDelta returns the counter growth from base to cur (snapshots of
-// the same engine, cur later). Peak fields are maxima, not counters:
-// the delta carries cur's value and statsSum resolves by max.
-func statsDelta(cur, base dd.Stats) dd.Stats {
-	d := cur
-	d.MatVecMuls -= base.MatVecMuls
-	d.MatMatMuls -= base.MatMatMuls
-	d.AddRecursions -= base.AddRecursions
-	d.MulRecursions -= base.MulRecursions
-	d.IdentitySkipsMV -= base.IdentitySkipsMV
-	d.IdentitySkipsMM -= base.IdentitySkipsMM
-	d.IdentitySkipLevels -= base.IdentitySkipLevels
-	d.CacheHits -= base.CacheHits
-	d.CacheLookups -= base.CacheLookups
-	d.AddV.Lookups -= base.AddV.Lookups
-	d.AddV.Hits -= base.AddV.Hits
-	d.AddM.Lookups -= base.AddM.Lookups
-	d.AddM.Hits -= base.AddM.Hits
-	d.MulMV.Lookups -= base.MulMV.Lookups
-	d.MulMV.Hits -= base.MulMV.Hits
-	d.MulMM.Lookups -= base.MulMM.Lookups
-	d.MulMM.Hits -= base.MulMM.Hits
-	d.Gate.Lookups -= base.Gate.Lookups
-	d.Gate.Hits -= base.Gate.Hits
-	d.WeightHits -= base.WeightHits
-	d.WeightMisses -= base.WeightMisses
-	d.NodesCreated -= base.NodesCreated
-	d.NodesRecycled -= base.NodesRecycled
-	d.GCs -= base.GCs
-	d.GCPause -= base.GCPause
-	d.Aborts -= base.Aborts
-	d.FaultsInjected -= base.FaultsInjected
-	d.DeadlineClockReads -= base.DeadlineClockReads
-	d.ReorderSwaps -= base.ReorderSwaps
-	d.SiftPasses -= base.SiftPasses
-	return d
-}
-
-// statsSum accumulates two stat deltas (or a base snapshot plus a
-// delta): counters add, peaks and maximum pauses take the max.
-func statsSum(a, b dd.Stats) dd.Stats {
-	s := a
-	s.MatVecMuls += b.MatVecMuls
-	s.MatMatMuls += b.MatMatMuls
-	s.AddRecursions += b.AddRecursions
-	s.MulRecursions += b.MulRecursions
-	s.IdentitySkipsMV += b.IdentitySkipsMV
-	s.IdentitySkipsMM += b.IdentitySkipsMM
-	s.IdentitySkipLevels += b.IdentitySkipLevels
-	s.CacheHits += b.CacheHits
-	s.CacheLookups += b.CacheLookups
-	s.AddV.Lookups += b.AddV.Lookups
-	s.AddV.Hits += b.AddV.Hits
-	s.AddM.Lookups += b.AddM.Lookups
-	s.AddM.Hits += b.AddM.Hits
-	s.MulMV.Lookups += b.MulMV.Lookups
-	s.MulMV.Hits += b.MulMV.Hits
-	s.MulMM.Lookups += b.MulMM.Lookups
-	s.MulMM.Hits += b.MulMM.Hits
-	s.Gate.Lookups += b.Gate.Lookups
-	s.Gate.Hits += b.Gate.Hits
-	s.WeightHits += b.WeightHits
-	s.WeightMisses += b.WeightMisses
-	s.NodesCreated += b.NodesCreated
-	s.NodesRecycled += b.NodesRecycled
-	s.GCs += b.GCs
-	s.GCPause += b.GCPause
-	s.Aborts += b.Aborts
-	s.FaultsInjected += b.FaultsInjected
-	s.DeadlineClockReads += b.DeadlineClockReads
-	s.ReorderSwaps += b.ReorderSwaps
-	s.SiftPasses += b.SiftPasses
-	if b.GCMaxPause > s.GCMaxPause {
-		s.GCMaxPause = b.GCMaxPause
-	}
-	if b.PeakVNodes > s.PeakVNodes {
-		s.PeakVNodes = b.PeakVNodes
-	}
-	if b.PeakMNodes > s.PeakMNodes {
-		s.PeakMNodes = b.PeakMNodes
-	}
-	if b.PeakVectorSize > s.PeakVectorSize {
-		s.PeakVectorSize = b.PeakVectorSize
-	}
-	if b.PeakMatrixSize > s.PeakMatrixSize {
-		s.PeakMatrixSize = b.PeakMatrixSize
-	}
-	return s
 }

@@ -761,6 +761,38 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestContinueStats checks that an engine continuing another's counters
+// reports exactly the source's stats before it does any work — every
+// field, the weight table's counters and the pressure probes included —
+// and counts on from there.
+func TestContinueStats(t *testing.T) {
+	src := New()
+	src.SetSoftBudget(4, Watermarks{})
+	v := src.ZeroState(3)
+	g := src.GateDD(gH, 3, 0, nil)
+	v = src.MulVec(g, v)
+	_ = src.MulMat(g, g)
+	src.GarbageCollect([]VEdge{v}, nil)
+	want := src.Stats()
+	if want.PressureProbesCritical == 0 || want.WeightMisses == 0 || want.GCs == 0 || want.PeakVNodes == 0 {
+		t.Fatalf("source engine did too little work to exercise every counter: %+v", want)
+	}
+
+	e := New()
+	e.ContinueStats(src)
+	if got := e.Stats(); got != want {
+		t.Fatalf("continued stats\n got %+v\nwant %+v", got, want)
+	}
+	_ = e.MulVec(e.GateDD(gH, 3, 1, nil), e.ZeroState(3))
+	got := e.Stats()
+	if got.MatVecMuls != want.MatVecMuls+1 || got.WeightHits+got.WeightMisses <= want.WeightHits+want.WeightMisses {
+		t.Fatalf("counters did not continue: got %+v, from %+v", got, want)
+	}
+	if got.PeakVNodes != want.PeakVNodes {
+		t.Fatalf("peak %d, want the source's larger peak %d", got.PeakVNodes, want.PeakVNodes)
+	}
+}
+
 func TestSizeCounts(t *testing.T) {
 	e := New()
 	v := e.ZeroState(4)

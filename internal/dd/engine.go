@@ -453,6 +453,17 @@ func (e *Engine) ResetStats() {
 	e.weights.ResetStats()
 }
 
+// ContinueStats makes e's counters continue from src's: every counter
+// and peak, the weight table's hits and misses included, starts at
+// src's current value, so an engine that replaces src mid-run (a
+// corruption repair's rebuild) reports the whole run's totals. Call it
+// on a fresh engine before it does any work: e's own counters are
+// overwritten, not added.
+func (e *Engine) ContinueStats(src *Engine) {
+	e.stats = src.stats
+	e.weights.SetStats(src.weights.Stats())
+}
+
 // MemStats returns a snapshot of unique-table and arena occupancy.
 func (e *Engine) MemStats() MemStats {
 	return MemStats{
