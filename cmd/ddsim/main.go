@@ -583,6 +583,7 @@ func printEngineStats(e *dd.Engine) {
 	cache("mul-mv", s.MulMV)
 	cache("mul-mm", s.MulMM)
 	cache("gate", s.Gate)
+	cache("size", s.Size)
 	fmt.Printf("  mul recursions:  %d (add recursions %d)\n", s.MulRecursions, s.AddRecursions)
 	skips := s.IdentitySkipsMV + s.IdentitySkipsMM
 	if e.IdentitySkipEnabled() {

@@ -534,6 +534,8 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		stateSz:  -1,
 		order:    order,
 	}
+	r.opSize = func() int { return r.eng.SizeM(r.acc) }
+	r.stateSize = r.stateNodes
 	r.buildPos()
 	if governorArmed(opt) {
 		r.gov = newGovernor(r)
@@ -595,11 +597,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	}
 	if ro != nil {
 		res.Trace = ro.trace
-		sz := r.stateSz
-		if sz < 0 {
-			sz = r.eng.SizeV(r.v)
-		}
-		ro.finish(r.applied, sz, r.fallbacks, len(res.Degradations), res.FidelityBound, err)
+		ro.finish(r.applied, r.stateNodes(), r.fallbacks, len(res.Degradations), res.FidelityBound, err)
 	}
 	if err != nil {
 		return res, err
@@ -629,6 +627,10 @@ type runner struct {
 	// stateSz caches the state DD's node count between flushes (-1 =
 	// unknown); it only changes when an operation is applied.
 	stateSz int
+	// opSize and stateSize are the strategy's size callbacks, bound
+	// once per run so the per-gate decision allocates nothing. They
+	// read r.eng, r.acc and r.v when called, so an engine swap is seen.
+	opSize, stateSize func() int
 
 	fallbacks  int
 	inFallback bool
@@ -704,20 +706,7 @@ func (r *runner) step(blocks map[int]circuit.Block) error {
 	if err := r.absorbNext(); err != nil {
 		return err
 	}
-	opSz := -1
-	opSize := func() int {
-		if opSz < 0 {
-			opSz = r.eng.SizeM(r.acc)
-		}
-		return opSz
-	}
-	stateSize := func() int {
-		if r.stateSz < 0 {
-			r.stateSz = r.eng.SizeV(r.v)
-		}
-		return r.stateSz
-	}
-	if r.accValid && (r.govPinned() || r.opt.Strategy.ShouldApply(r.combined, opSize, stateSize)) {
+	if r.accValid && (r.govPinned() || r.opt.Strategy.ShouldApply(r.combined, r.opSize, r.stateSize)) {
 		r.notePlannerDecision()
 		if err := r.flush(r.next); err != nil {
 			return err
@@ -888,10 +877,7 @@ func (r *runner) maybeReorder() error {
 	if r.opt.Reorder != "sifting" || r.accValid {
 		return nil
 	}
-	if r.stateSz < 0 {
-		r.stateSz = r.eng.SizeV(r.v)
-	}
-	sz := r.stateSz
+	sz := r.stateNodes()
 	if sz < r.siftMinNodes() {
 		r.siftBase = 0
 		return nil
@@ -995,6 +981,15 @@ func (r *runner) applyOp(op dd.MEdge, gateIndex, combined int, fromBlock bool, b
 		reuse:      reuse,
 		fallback:   r.inFallback,
 	})
+}
+
+// stateNodes returns the state DD's node count, counting it only when
+// stateSz is unknown.
+func (r *runner) stateNodes() int {
+	if r.stateSz < 0 {
+		r.stateSz = r.eng.SizeV(r.v)
+	}
+	return r.stateSz
 }
 
 // blockIndex maps a block's start gate index to the block.

@@ -29,6 +29,8 @@ import (
 //   - memory: unique-table live/tombstone counters match the slots,
 //     the arena free lists have exactly the recorded length, and every
 //     arena node is either live in a table or free-listed;
+//   - derived fields: the isIdentity bit and any memoised matrix size
+//     match a recomputation;
 //   - terminals: the shared terminal sentinels are untouched.
 //
 // Audit is O(live nodes) and allocates only for the free-list cycle
@@ -43,7 +45,7 @@ import (
 type IntegrityError struct {
 	// Check names the violated invariant: "terminal", "id", "level",
 	// "hash", "unique-table", "zero-edge", "weight-finite",
-	// "weight-canonical", "normalization", "identity-bit",
+	// "weight-canonical", "normalization", "identity-bit", "size-memo",
 	// "table-counters", "arena", "free-list", "identity-cache", "norm",
 	// "unitarity".
 	Check string
@@ -189,6 +191,14 @@ func (e *Engine) auditMNode(n *MNode) *IntegrityError {
 	if want := identityShape(n); n.isIdentity != want {
 		return fail("identity-bit", fmt.Sprintf("stored isIdentity=%v, structure says %v", n.isIdentity, want))
 	}
+	// The memoised size is derived too, and SizeM trusts it without a
+	// walk; only a recount catches a corrupted one.
+	if n.size != 0 {
+		e.bumpEpoch()
+		if want := e.sizeM(n); int(n.size) != want {
+			return fail("size-memo", fmt.Sprintf("stored size %d, recount says %d", n.size, want))
+		}
+	}
 	return nil
 }
 
@@ -207,8 +217,10 @@ func identityShape(n *MNode) bool {
 // normalisation on every edge of every live node, arena/free-list
 // accounting, and the terminal sentinels — and returns the first
 // violation as a *IntegrityError (nil when the engine is sound). The
-// engine is not modified. Cost is O(live nodes); see Options.VerifyEvery
-// in internal/core for the intended cadence.
+// engine is not modified beyond its traversal marks. Cost is O(live
+// nodes) plus a recount under every memoised matrix size (the few
+// roots SizeM was asked about); see Options.VerifyEvery in
+// internal/core for the intended cadence.
 func (e *Engine) Audit() error {
 	if err := auditTerminals(); err != nil {
 		return err

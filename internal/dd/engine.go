@@ -141,10 +141,24 @@ func (e *Engine) sizeV(n *VNode) int {
 	return 1 + e.sizeV(n.E[0].N) + e.sizeV(n.E[1].N)
 }
 
-// SizeM counts the distinct non-terminal nodes under e; see SizeV.
+// SizeM counts the distinct non-terminal nodes under e; see SizeV. The
+// count is memoised on the root node (MNode.size), so asking again
+// about a root already counted is O(1). The shared terminal is never
+// written: parallel engines share it.
 func (e *Engine) SizeM(m MEdge) int {
+	n := m.N
+	if n == mTerminal {
+		return 0
+	}
+	e.stats.Size.Lookups++
+	if n.size != 0 {
+		e.stats.Size.Hits++
+		return int(n.size)
+	}
 	e.bumpEpoch()
-	return e.sizeM(m.N)
+	s := e.sizeM(n)
+	n.size = uint32(s)
+	return s
 }
 
 func (e *Engine) sizeM(n *MNode) int {
@@ -257,6 +271,10 @@ type Stats struct {
 	// CacheHits/CacheLookups aggregate, which covers the arithmetic
 	// caches only.
 	Gate CacheStats
+	// Size counts SizeM calls on non-terminal roots (Lookups) and those
+	// answered from the size memoised on the root (Hits; see
+	// MNode.size). Like Gate it stays out of the aggregate.
+	Size CacheStats
 
 	// WeightHits and WeightMisses are the weight table's counters (see
 	// cnum.Table.Stats): canonicalisations answered by an existing
@@ -610,6 +628,8 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 		es[0].W == cnum.One && es[3].W == cnum.One &&
 		es[0].N == es[3].N &&
 		(es[0].N == mTerminal || es[0].N.isIdentity)
+	// A recycled node must not report its predecessor's size.
+	n.size = 0
 	e.nextID++
 	e.stats.NodesCreated++
 	e.mUnique.insertAt(slot, n)

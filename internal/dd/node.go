@@ -60,6 +60,13 @@ type MNode struct {
 	// "identity-bit" check), which is the only way a corrupted bit is
 	// caught.
 	isIdentity bool
+	// size memoises Engine.SizeM: the number of distinct non-terminal
+	// nodes reachable from this node, 0 until first counted. Exact for
+	// the node's lifetime because interned nodes are immutable and the
+	// arena zeroes a node when it is freed. Derived like isIdentity;
+	// Audit's "size-memo" check recounts it. It sits in the struct's
+	// padding, so MNode stays 120 bytes.
+	size uint32
 }
 
 // VEdge is a weighted edge into a vector DD. The amplitude of a basis
