@@ -9,6 +9,7 @@
 //	enginestats — per-cache hit rates and GC behaviour of the DD engine
 //	identity — identity-aware kernels before/after (ablation, not in "all")
 //	reorder — variable-order ablation: fixed vs static vs sifting (not in "all")
+//	planner — the strategy planner vs. every fixed strategy (not in "all")
 //
 // Usage:
 //
@@ -17,14 +18,18 @@
 //	ddbench -experiment fig8 -reps 3        # tighter timing
 //	ddbench -experiment fig9 -csvdir out/   # also write raw CSV data
 //	ddbench -experiment fig8 -metrics-out m.json -pprof prof/
-//	ddbench -experiment fig8 -parallel 4    # sweep cells on a worker pool
+//	ddbench -experiment fig8 -parallel 4    # cells on a worker pool
 //
-// -parallel N runs the independent sweep cells (fig8/fig9/adaptive,
-// baselines included) through a bounded worker pool, each cell on its
-// own freshly created engine. Marks and node counts are identical to
-// serial mode — only the timing columns shift with machine load, so use
-// -parallel for mark/telemetry sweeps and serial mode for headline
-// speed-up numbers.
+// Every experiment measures its cells the same way (bench.Time), so
+// -budget, -max-nodes (oom cells, no fallback), -soft-budget/-degrade,
+// -reps and -progress apply to all of them; only Fig. 5's traced runs
+// and Table II's DD-construct column run outside the budgets.
+//
+// -parallel N runs the independent cells of an experiment (baselines
+// included) through a bounded worker pool, each cell on its own freshly
+// created engine. Marks and node counts are identical to serial mode —
+// only the timing columns shift with machine load, so use -parallel for
+// mark/telemetry sweeps and serial mode for headline speed-up numbers.
 //
 // Sweeps additionally write per-cell run telemetry (<name>_metrics.csv)
 // next to the raw data when -csvdir is set. -metrics-out aggregates the
@@ -54,14 +59,14 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "all | fig5 | fig8 | fig9 | table1 | table2 | adaptive | enginestats | identity | planner | reorder")
+		experiment = flag.String("experiment", "all", experimentUsage())
 		full       = flag.Bool("full", false, "larger instances (several minutes; table2 adds the paper's moduli)")
 		reps       = flag.Int("reps", 1, "timing repetitions (fastest run reported)")
 		budget     = flag.Duration("budget", 30*time.Second, "per-run timeout (paper: 2 CPU hours)")
 		maxNodes   = flag.Int("max-nodes", 0, "per-run live-node budget; exceeding runs are reported as oom cells (0 = unlimited)")
 		softBudget = flag.Int("soft-budget", 0, "arm the memory-pressure governor at this live-node target; rescued cells are marked degraded instead of oom (0 = off unless -degrade is set)")
 		degrade    = flag.String("degrade", "", "governor mode: off, ladder, or approx (degraded cells then carry their fidelity bound)")
-		parallel   = flag.Int("parallel", 1, "run sweep cells through a worker pool of this many workers (cells stay deterministic: same marks and node counts as serial mode, only timings shift)")
+		parallel   = flag.Int("parallel", 1, "run experiment cells through a worker pool of this many workers (cells stay deterministic: same marks and node counts as serial mode, only timings shift)")
 		csvDir     = flag.String("csvdir", "", "also write raw experiment data as CSV files into this directory")
 		metricsOut = flag.String("metrics-out", "", "write an aggregated metrics snapshot over all measured runs (JSON, or Prometheus text if the path ends in .prom)")
 		progress   = flag.Bool("progress", false, "stream per-run progress lines to stderr")
@@ -147,120 +152,62 @@ func main() {
 		fmt.Printf("[raw data written to %s]\n", path)
 	}
 
-	// run prints an experiment's rendered text and writes its raw CSV
-	// plus (for sweeps) the per-cell telemetry CSV when -csvdir is set.
-	run := func(name string, f func(bench.Config) (text, csv, metricsCSV string, err error)) {
+	ran := false
+	for _, e := range experiments {
+		if *experiment != e.name && !(*experiment == "all" && e.inAll) {
+			continue
+		}
+		ran = true
 		start := time.Now()
-		text, csv, metricsCSV, err := f(cfg)
+		tables, err := e.run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "ddbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Println(text)
-		writeCSV(name, csv)
-		writeCSV(name+"_metrics", metricsCSV)
-		fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	sweepRunner := func(f func(bench.Config) (*bench.SweepResult, error)) func(bench.Config) (string, string, string, error) {
-		return func(cfg bench.Config) (string, string, string, error) {
-			r, err := f(cfg)
-			if err != nil {
-				return "", "", "", err
+		for _, t := range tables {
+			if text := t.Text(); text != "" {
+				fmt.Println(text)
 			}
-			return bench.RenderSweep(r), r.CSV(), r.MetricsCSV(), nil
+			name := e.name
+			if t.Name != "" {
+				name += "_" + t.Name
+			}
+			writeCSV(name, t.CSV())
 		}
-	}
-
-	all := *experiment == "all"
-	ran := false
-	if all || *experiment == "fig5" {
-		run("fig5", func(cfg bench.Config) (string, string, string, error) {
-			r, err := bench.Fig5(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderFig5(r), bench.TraceCSV(r), "", nil
-		})
-		ran = true
-	}
-	if all || *experiment == "fig8" {
-		run("fig8", sweepRunner(bench.Fig8))
-		ran = true
-	}
-	if all || *experiment == "fig9" {
-		run("fig9", sweepRunner(bench.Fig9))
-		ran = true
-	}
-	if all || *experiment == "table1" {
-		run("table1", func(cfg bench.Config) (string, string, string, error) {
-			rows, err := bench.Table1(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderTable1(rows), bench.Table1CSV(rows), "", nil
-		})
-		ran = true
-	}
-	if all || *experiment == "table2" {
-		run("table2", func(cfg bench.Config) (string, string, string, error) {
-			rows, err := bench.Table2(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderTable2(rows, cfg.Budget.Seconds()),
-				bench.Table2CSV(rows, cfg.Budget.Seconds()), "", nil
-		})
-		ran = true
-	}
-	if all || *experiment == "enginestats" {
-		run("enginestats", func(cfg bench.Config) (string, string, string, error) {
-			rows, err := bench.EngineStats(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderEngineStats(rows), bench.EngineStatsCSV(rows), "", nil
-		})
-		ran = true
-	}
-	if *experiment == "adaptive" { // ablation beyond the paper; not part of "all"
-		run("adaptive", sweepRunner(bench.AdaptiveSweep))
-		ran = true
-	}
-	if *experiment == "identity" { // kernel ablation; not part of "all"
-		run("identity", func(cfg bench.Config) (string, string, string, error) {
-			rows, err := bench.IdentitySweep(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderIdentity(rows), bench.IdentityCSV(rows), "", nil
-		})
-		ran = true
-	}
-	if *experiment == "reorder" { // variable-order ablation; not part of "all"
-		run("reorder", func(cfg bench.Config) (string, string, string, error) {
-			rows, err := bench.ReorderSweep(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderReorder(rows), bench.ReorderCSV(rows), "", nil
-		})
-		ran = true
-	}
-	if *experiment == "planner" { // strategy-planner comparison; not part of "all"
-		run("planner", func(cfg bench.Config) (string, string, string, error) {
-			r, err := bench.PlannerSweep(cfg)
-			if err != nil {
-				return "", "", "", err
-			}
-			return bench.RenderPlanner(r), bench.PlannerCSV(r), "", nil
-		})
-		ran = true
+		fmt.Printf("[%s regenerated in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "ddbench: unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
+}
+
+// experiments lists every experiment in the order "all" runs them;
+// inAll=false marks the ablations beyond the paper, run only by name.
+var experiments = []struct {
+	name  string
+	inAll bool
+	run   func(bench.Config) ([]*bench.Table, error)
+}{
+	{"fig5", true, bench.Fig5},
+	{"fig8", true, bench.Fig8},
+	{"fig9", true, bench.Fig9},
+	{"table1", true, func(cfg bench.Config) ([]*bench.Table, error) { return bench.Table1(cfg) }},
+	{"table2", true, func(cfg bench.Config) ([]*bench.Table, error) { return bench.Table2(cfg) }},
+	{"enginestats", true, bench.EngineStats},
+	{"adaptive", false, bench.AdaptiveSweep},
+	{"identity", false, bench.IdentitySweep},
+	{"reorder", false, bench.ReorderSweep},
+	{"planner", false, bench.PlannerSweep},
+}
+
+// experimentUsage is the -experiment flag's usage: "all" and every name.
+func experimentUsage() string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, " | ")
 }
 
 func fatal(err error) {

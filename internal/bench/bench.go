@@ -1,12 +1,16 @@
 // Package bench defines the benchmark workloads and the experiment
 // harness that regenerates every table and figure of the paper's
 // evaluation (Figs. 8 and 9, Tables I and II, plus the Fig. 5 size
-// trace). Absolute times differ from the paper's machine; the harness
-// reports the same quantities (speed-ups over the sequential baseline,
-// per-strategy runtimes) so the shapes can be compared directly.
+// trace) and the ablations beyond it. Every experiment is a grid of
+// workloads × configurations measured cell by cell through Time and
+// reported as Tables. Absolute times differ from the paper's machine;
+// the harness reports the same quantities (speed-ups over the
+// sequential baseline, per-strategy runtimes) so the shapes can be
+// compared directly.
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -14,7 +18,10 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/batch"
+	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dd"
 	"repro/internal/grover"
 	"repro/internal/hamiltonian"
 	"repro/internal/obs"
@@ -54,8 +61,8 @@ type Config struct {
 	// Full selects the larger instances (several minutes of total
 	// runtime instead of tens of seconds).
 	Full bool
-	// Parallel runs sweep cells through a bounded worker pool of this
-	// many workers (internal/batch), each cell on its own freshly
+	// Parallel runs experiment cells through a bounded worker pool of
+	// this many workers (internal/batch), each cell on its own freshly
 	// created engine. Values <= 1 keep the serial cell order. Marks and
 	// node counts are identical to serial mode; only wall-clock timings
 	// (and thus speed-up columns) shift with machine load. MaxNodes
@@ -86,9 +93,13 @@ func (c Config) reps() int {
 // per size for determinism).
 func GroverWorkload(n int) Workload {
 	marked := uint64(0x5a5a5a5a5a5a5a5a) & ((1 << uint(n)) - 1)
-	c := grover.Circuit(n, marked, 0)
+	return circuitWorkload(grover.Circuit(n, marked, 0))
+}
+
+// circuitWorkload simulates c with core.Run under the circuit's name.
+func circuitWorkload(c *circuit.Circuit) Workload {
 	return Workload{
-		Name: fmt.Sprintf("grover_%d", n),
+		Name: c.Name,
 		Run: func(opt core.Options) error {
 			_, err := core.Run(c, opt)
 			return err
@@ -111,26 +122,12 @@ func ShorWorkload(modN, a uint64) Workload {
 // QFTWorkload returns the qft_<n> benchmark (quantum Fourier transform
 // with final swaps, applied to the |0…0> state).
 func QFTWorkload(n int) Workload {
-	c := qft.Circuit(n, true)
-	return Workload{
-		Name: fmt.Sprintf("qft_%d", n),
-		Run: func(opt core.Options) error {
-			_, err := core.Run(c, opt)
-			return err
-		},
-	}
+	return circuitWorkload(qft.Circuit(n, true))
 }
 
 // SupremacyWorkload returns the supremacy_<depth>_<qubits> benchmark.
 func SupremacyWorkload(rows, cols, depth int, seed int64) Workload {
-	c := supremacy.Circuit(rows, cols, depth, seed)
-	return Workload{
-		Name: c.Name,
-		Run: func(opt core.Options) error {
-			_, err := core.Run(c, opt)
-			return err
-		},
-	}
+	return circuitWorkload(supremacy.Circuit(rows, cols, depth, seed))
 }
 
 // FigWorkloads is the benchmark mix used for the Fig. 8 / Fig. 9
@@ -173,6 +170,9 @@ type Measurement struct {
 	// died before emitting a run_end event). Aborted cells keep the
 	// partial run's counters.
 	Cell CellMetrics
+	// Stats is the engine's counter snapshot after the run: the totals
+	// of every simulation the workload ran on it.
+	Stats dd.Stats
 }
 
 // Mark classifies the measurement for table cells: "" for a clean run,
@@ -271,15 +271,23 @@ func timeOnce(w Workload, opt core.Options, cfg Config) Measurement {
 	// cells must not bias the comparison.
 	debug.FreeOSMemory()
 	start := time.Now()
+	if opt.Engine == nil {
+		// The fresh engine core.Run would create — built inside the
+		// clock as that one is — held here so the cell can report the
+		// engine's own counters.
+		opt.Engine = dd.New()
+	}
 	err := w.Run(opt)
 	elapsed := time.Since(start).Seconds()
+	var m Measurement
 	if err != nil {
-		m := classify(err, elapsed, cfg)
-		m.Cell = capture.cell(m.Seconds)
-		return m
+		m = classify(err, elapsed, cfg)
+	} else {
+		m = Measurement{Seconds: elapsed}
 	}
-	m := Measurement{Seconds: elapsed, Cell: capture.cell(elapsed)}
-	if m.Cell.Degradations > 0 {
+	m.Cell = capture.cell(m.Seconds)
+	m.Stats = opt.Engine.Stats()
+	if err == nil && m.Cell.Degradations > 0 {
 		m.Degraded = true
 		m.FidelityBound = m.Cell.FidelityBound
 	}
@@ -325,11 +333,74 @@ func TFIMWorkload(sites int, t float64, steps int) Workload {
 	if err != nil {
 		panic(err) // static parameters; misuse is a programming error
 	}
-	return Workload{
-		Name: c.Name,
-		Run: func(opt core.Options) error {
-			_, err := core.Run(c, opt)
-			return err
-		},
+	return circuitWorkload(c)
+}
+
+// arm is one configuration an experiment measures every workload
+// under; label names it in the tables.
+type arm struct {
+	label string
+	opt   core.Options
+}
+
+// measureGrid times every workload under every arm — one cell each,
+// through runCells — and returns the cells as ms[workload][arm].
+func measureGrid(cfg Config, ws []Workload, arms []arm) ([][]Measurement, error) {
+	flat, err := runCells(cfg, len(ws)*len(arms), func(i int, cfg Config) Measurement {
+		return Time(ws[i/len(arms)], arms[i%len(arms)].opt, cfg)
+	})
+	if err != nil {
+		return nil, err
 	}
+	grid := make([][]Measurement, len(ws))
+	for wi := range grid {
+		grid[wi] = flat[wi*len(arms) : (wi+1)*len(arms)]
+	}
+	return grid, nil
+}
+
+// runCells executes n independent cell measurements: in index order
+// when cfg.Parallel <= 1, otherwise through a bounded worker pool
+// (internal/batch). Results always come back in cell order, so the
+// rendered tables and CSV are identical either way — marks and node
+// counts exactly, timings modulo machine load. cfg.MaxNodes stays a
+// per-run budget (each cell simulates on its own fresh engine), so
+// oom marks do not depend on the worker count. Shared sinks are
+// serialised for the parallel path; the shared metrics registry is
+// already safe for concurrent runs.
+func runCells(cfg Config, n int, measure func(i int, cfg Config) Measurement) ([]Measurement, error) {
+	if cfg.Parallel <= 1 {
+		out := make([]Measurement, n)
+		for i := range out {
+			out[i] = measure(i, cfg)
+		}
+		return out, nil
+	}
+	pcfg := cfg
+	if cfg.Events != nil {
+		pcfg.Events = obs.NewSyncSink(cfg.Events)
+	}
+	jobs := make([]batch.Job[Measurement], n)
+	for i := range jobs {
+		i := i
+		jobs[i] = func(context.Context, int) (Measurement, error) {
+			return measure(i, pcfg), nil
+		}
+	}
+	pres, err := batch.Run(context.Background(), jobs,
+		batch.Options{Workers: cfg.Parallel, Metrics: cfg.Metrics})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Measurement, n)
+	for i, pr := range pres {
+		// Cells report failures through Measurement marks; pool-level
+		// errors only arise from panics the measurement did not absorb.
+		if pr.Err != nil {
+			out[i] = Measurement{Err: pr.Err}
+			continue
+		}
+		out[i] = pr.Value
+	}
+	return out, nil
 }

@@ -63,37 +63,48 @@ func TestTimePropagatesErrors(t *testing.T) {
 	}
 }
 
+// column returns the index of the named column, failing the test when
+// the table has none.
+func column(t *testing.T, tb *Table, name string) int {
+	t.Helper()
+	for i, c := range tb.Columns {
+		if c.Name == name {
+			return i
+		}
+	}
+	t.Fatalf("table %q has no column %q", tb.Title, name)
+	return -1
+}
+
+// testSpec is a small k-operations sweep over the given parameters.
+func testSpec(title string, params ...int) sweepSpec {
+	return sweepSpec{title, "k", params, func(p int) core.Strategy { return core.KOperations{K: p} }}
+}
+
 func TestSweepShape(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute}
-	params := []int{1, 2, 4}
-	res, err := sweep(cfg, "test sweep", "k", params,
-		func(p int) core.Strategy { return core.KOperations{K: p} }, tinyWorkloads())
+	tables, err := sweep(cfg, testSpec("test sweep", 1, 2, 4), tinyWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Names) != 2 || len(res.Params) != 3 {
-		t.Fatalf("shape %v %v", res.Names, res.Params)
+	sp := tables[0]
+	// param column + one column per workload + average; baseline row +
+	// one row per parameter.
+	if len(sp.Columns) != 4 || len(sp.Rows) != 4 {
+		t.Fatalf("shape %d columns x %d rows", len(sp.Columns), len(sp.Rows))
 	}
-	for wi := range res.Names {
-		if len(res.Speedups[wi]) != len(params) {
-			t.Fatalf("row %d has %d entries", wi, len(res.Speedups[wi]))
-		}
-		for _, v := range res.Speedups[wi] {
-			if math.IsNaN(v) || v <= 0 {
-				t.Fatalf("invalid speed-up %v", v)
+	for _, row := range sp.Rows[1:] {
+		for _, c := range row[1:] {
+			if c.Mark != "" || c.Unit != Ratio || math.IsNaN(c.V) || c.V <= 0 {
+				t.Fatalf("invalid speed-up cell %+v", c)
 			}
 		}
 	}
-	for _, v := range res.Average {
-		if math.IsNaN(v) || v <= 0 {
-			t.Fatalf("invalid average %v", v)
-		}
-	}
 	// k=1 is the sequential scheme re-run: speed-up should be near 1.
-	if res.Average[0] < 0.2 || res.Average[0] > 5 {
-		t.Fatalf("k=1 average speed-up %v wildly off 1.0", res.Average[0])
+	if avg := sp.Rows[1][3].V; avg < 0.2 || avg > 5 {
+		t.Fatalf("k=1 average speed-up %v wildly off 1.0", avg)
 	}
-	out := RenderSweep(res)
+	out := sp.Text()
 	for _, want := range []string{"test sweep", "grover_6", "average", "1.0x"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered sweep missing %q:\n%s", want, out)
@@ -102,31 +113,42 @@ func TestSweepShape(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	res, err := Fig5(Config{})
+	tables, err := Fig5(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Seq) == 0 || len(res.Combined) == 0 {
-		t.Fatal("empty traces")
+	rows := map[string]int{}
+	for _, r := range tables[1].Rows {
+		rows[r[0].Mark]++
 	}
-	if len(res.Combined) >= len(res.Seq) {
+	if rows["sequential"] == 0 || rows["combined"] == 0 {
+		t.Fatalf("empty traces: %v", rows)
+	}
+	if rows["combined"] >= rows["sequential"] {
 		t.Fatalf("combining should reduce the number of applications: %d vs %d",
-			len(res.Combined), len(res.Seq))
+			rows["combined"], rows["sequential"])
 	}
-	if res.SeqRecursions == 0 || res.CombinedRecursions == 0 {
-		t.Fatal("missing work counters")
-	}
-	out := RenderFig5(res)
+	out := tables[0].Text()
 	if !strings.Contains(out, "state nodes") || !strings.Contains(out, "recursions") {
 		t.Fatalf("rendered Fig.5 incomplete:\n%s", out)
 	}
+	if tables[0].CSV() != "" || tables[1].Text() != "" {
+		t.Fatal("Fig. 5 prints the sampled trace and writes the full one")
+	}
+}
+
+// paperRow builds one Table I/II measurement row: t_sota, the general
+// strategies (in generalStrategies order) and any extra cells.
+func paperRow(sota Measurement, general []Measurement, extra ...Measurement) []Measurement {
+	return append(append([]Measurement{sota}, general...), extra...)
 }
 
 func TestRenderTable1(t *testing.T) {
-	rows := []Table1Row{
-		{Name: "grover_14", TSota: 1.5, TGeneral: 0.5, GeneralName: "k-operations(k=8)", TRepeating: 0.25},
-	}
-	out := RenderTable1(rows)
+	arms := paperArms(arm{label: "DD-repeating"})
+	row := paperRow(Measurement{Seconds: 1.5},
+		[]Measurement{{Seconds: 0.9}, {Seconds: 0.5}, {Seconds: 0.7}, {TimedOut: true, Seconds: 0.1}, {Seconds: 0.6}},
+		Measurement{Seconds: 0.25})
+	out := table1([]Workload{{Name: "grover_14"}}, arms, [][]Measurement{row}).Text()
 	for _, want := range []string{"grover_14", "1.50", "0.500", "0.250", "k-operations(k=8)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
@@ -134,12 +156,19 @@ func TestRenderTable1(t *testing.T) {
 	}
 }
 
-func TestRenderTable2Timeouts(t *testing.T) {
-	rows := []Table2Row{
-		{Name: "shor_1007_602", QubitsGate: 23, QubitsConstruct: 11,
-			TSota: 30, SotaTimeout: true, TGeneral: 30, GeneralTimeout: true, TConstruct: 0.02},
+// allTimedOut is a general-strategy column in which every run hit the
+// budget.
+func allTimedOut(budget float64) []Measurement {
+	ms := make([]Measurement, len(generalStrategies()))
+	for i := range ms {
+		ms[i] = Measurement{TimedOut: true, Seconds: budget}
 	}
-	out := RenderTable2(rows, 30)
+	return ms
+}
+
+func TestRenderTable2Timeouts(t *testing.T) {
+	row := paperRow(Measurement{TimedOut: true, Seconds: 30}, allTimedOut(30))
+	out := table2([]ShorInstance{{1007, 602}}, paperArms(), [][]Measurement{row}, []float64{0.02}, 30).Text()
 	if !strings.Contains(out, ">30.00") {
 		t.Fatalf("timeout rows not marked:\n%s", out)
 	}
@@ -209,15 +238,16 @@ func TestGroverWorkloadMatchesGenerator(t *testing.T) {
 
 func TestAdaptiveSweepSmall(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute}
-	res, err := sweep(cfg, "adaptive", "r", []int{50, 100},
-		func(p int) core.Strategy { return core.Adaptive{Ratio: float64(p) / 100} }, tinyWorkloads())
+	spec := sweepSpec{"adaptive", "r", []int{50, 100},
+		func(p int) core.Strategy { return core.Adaptive{Ratio: float64(p) / 100} }}
+	tables, err := sweep(cfg, spec, tinyWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range res.Speedups {
-		for _, v := range row {
-			if v <= 0 || math.IsNaN(v) {
-				t.Fatalf("invalid speed-up %v", v)
+	for _, row := range tables[0].Rows[1:] {
+		for _, c := range row[1:] {
+			if c.Mark != "" || c.V <= 0 || math.IsNaN(c.V) {
+				t.Fatalf("invalid speed-up %+v", c)
 			}
 		}
 	}
@@ -225,18 +255,21 @@ func TestAdaptiveSweepSmall(t *testing.T) {
 
 func TestTable1SmallInstance(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute}
-	rows, err := Table1(cfg, 8)
+	tables, err := Table1(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Name != "grover_8" {
-		t.Fatalf("rows %+v", rows)
+	tb := tables[0]
+	if len(tb.Rows) != 1 || tb.Rows[0][0].Mark != "grover_8" {
+		t.Fatalf("rows %+v", tb.Rows)
 	}
-	r := rows[0]
-	if r.TSota <= 0 || r.TGeneral <= 0 || r.TRepeating <= 0 {
-		t.Fatalf("non-positive timings: %+v", r)
+	r := tb.Rows[0]
+	for _, name := range []string{"t_sota", "t_general", "t_dd_repeating"} {
+		if c := r[column(t, tb, name)]; c.Mark != "" || c.V <= 0 {
+			t.Fatalf("%s: non-positive timing %+v", name, c)
+		}
 	}
-	if r.GeneralName == "" {
+	if r[column(t, tb, "best_general")].Mark == "" {
 		t.Fatal("best general strategy not recorded")
 	}
 	// No relative-speed assertion here: grover_8 runs in milliseconds
@@ -246,35 +279,38 @@ func TestTable1SmallInstance(t *testing.T) {
 
 func TestTable2SmallInstance(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute}
-	rows, err := Table2(cfg, ShorInstance{N: 15, A: 7})
+	tables, err := Table2(cfg, ShorInstance{N: 15, A: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("rows %+v", rows)
+	tb := tables[0]
+	if len(tb.Rows) != 1 {
+		t.Fatalf("rows %+v", tb.Rows)
 	}
-	r := rows[0]
-	if r.QubitsGate != 11 || r.QubitsConstruct != 5 {
+	r := tb.Rows[0]
+	if r[column(t, tb, "qubits_gate")].V != 11 || r[column(t, tb, "qubits_construct")].V != 5 {
 		t.Fatalf("qubit columns wrong: %+v", r)
 	}
-	if r.SotaTimeout || r.GeneralTimeout {
+	sota, general := r[column(t, tb, "t_sota")], r[column(t, tb, "t_general")]
+	if sota.Mark != "" || sota.Unit != Seconds || general.Mark != "" || general.Unit != Seconds {
 		t.Fatalf("unexpected timeout: %+v", r)
 	}
-	if r.TConstruct <= 0 || r.TConstruct > r.TSota {
+	if c := r[column(t, tb, "t_dd_construct")].V; c <= 0 || c > sota.V {
 		t.Fatalf("DD-construct should beat the gate level: %+v", r)
 	}
 }
 
 func TestSweepCSV(t *testing.T) {
-	r := &SweepResult{
-		Param:    "k",
-		Params:   []int{2, 4},
-		Names:    []string{"grover_6", "shor,weird"},
-		Baseline: []float64{0.5, 1.25},
-		Speedups: [][]float64{{1.5, math.NaN()}, {0.9, 2}},
-		Average:  []float64{1.2, 2},
+	ratio := func(v float64) Cell { return Cell{V: v, Unit: Ratio} }
+	tb := &Table{
+		Columns: cols(Both, "k", "grover_6", "shor,weird", "average"),
+		Rows: [][]Cell{
+			{label("baseline_seconds"), {V: 0.5, Unit: Seconds}, {V: 1.25, Unit: Seconds}, label("")},
+			{label("2"), ratio(1.5), ratio(0.9), ratio(1.2)},
+			{label("4"), ratio(math.NaN()), ratio(2), ratio(2)},
+		},
 	}
-	csv := r.CSV()
+	csv := tb.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("csv lines %d:\n%s", len(lines), csv)
@@ -282,36 +318,42 @@ func TestSweepCSV(t *testing.T) {
 	if lines[0] != `k,grover_6,"shor,weird",average` {
 		t.Fatalf("header %q", lines[0])
 	}
+	if lines[1] != "baseline_seconds,0.5,1.25," {
+		t.Fatalf("baseline row %q", lines[1])
+	}
 	if !strings.HasPrefix(lines[2], "2,1.5,0.9,") {
 		t.Fatalf("row %q", lines[2])
 	}
-	// Timeout cell is empty.
+	// A cell without a value is empty.
 	if lines[3] != "4,,2,2" {
 		t.Fatalf("timeout row %q", lines[3])
 	}
 }
 
 func TestTableCSVs(t *testing.T) {
-	t1 := Table1CSV([]Table1Row{{Name: "grover_12", TSota: 1, TGeneral: 0.5, TRepeating: 0.1, GeneralName: "k-operations(k=4)"}})
-	if !strings.Contains(t1, "grover_12,1,0.5,0.1,k-operations(k=4)") {
+	row := paperRow(Measurement{Seconds: 1},
+		[]Measurement{{Seconds: 0.5}, {Seconds: 0.7}, {Seconds: 0.8}, {Seconds: 0.9}, {Seconds: 0.6}},
+		Measurement{Seconds: 0.1})
+	t1 := table1([]Workload{{Name: "grover_12"}}, paperArms(arm{label: "DD-repeating"}), [][]Measurement{row}).CSV()
+	if !strings.HasPrefix(t1, "benchmark,t_sota,t_general,t_dd_repeating,best_general\n") ||
+		!strings.Contains(t1, "grover_12,1,0.5,0.1,k-operations(k=4)") {
 		t.Fatalf("table1 csv:\n%s", t1)
 	}
-	t2 := Table2CSV([]Table2Row{{
-		Name: "shor_1007_602", QubitsGate: 23, QubitsConstruct: 11,
-		SotaTimeout: true, GeneralTimeout: true, TConstruct: 0.2,
-	}}, 90)
-	if !strings.Contains(t2, "shor_1007_602,23,>90,>90,0.2,11,") {
+	row = paperRow(Measurement{TimedOut: true, Seconds: 90}, allTimedOut(90))
+	t2 := table2([]ShorInstance{{1007, 602}}, paperArms(), [][]Measurement{row}, []float64{0.2}, 90).CSV()
+	if !strings.HasPrefix(t2, "benchmark,qubits_gate,t_sota,t_general,t_dd_construct,qubits_construct,best_general\n") ||
+		!strings.Contains(t2, "shor_1007_602,23,>90,>90,0.2,11,") {
 		t.Fatalf("table2 csv:\n%s", t2)
 	}
 }
 
 func TestTraceCSV(t *testing.T) {
-	r := &TraceResult{
-		Seq:      []core.TracePoint{{GateIndex: 1, OpSize: 2, StateSize: 3, Combined: 1}},
-		Combined: []core.TracePoint{{GateIndex: 4, OpSize: 5, StateSize: 6, Combined: 4}},
-	}
-	csv := TraceCSV(r)
-	if !strings.Contains(csv, "sequential,1,2,3,1") || !strings.Contains(csv, "combined,4,5,6,4") {
+	csv := traceTable(
+		[]core.TracePoint{{GateIndex: 1, OpSize: 2, StateSize: 3, Combined: 1}},
+		[]core.TracePoint{{GateIndex: 4, OpSize: 5, StateSize: 6, Combined: 4}},
+	).CSV()
+	if !strings.HasPrefix(csv, "scheme,gate_index,op_nodes,state_nodes,combined\n") ||
+		!strings.Contains(csv, "sequential,1,2,3,1") || !strings.Contains(csv, "combined,4,5,6,4") {
 		t.Fatalf("trace csv:\n%s", csv)
 	}
 }
@@ -336,31 +378,25 @@ func TestSweepResilient(t *testing.T) {
 	boom := Workload{Name: "boom", Run: func(core.Options) error { return errors.New("boom") }}
 	ws := []Workload{GroverWorkload(6), boom}
 	cfg := Config{Reps: 1, Budget: time.Minute}
-	params := []int{2, 4}
-	res, err := sweep(cfg, "resilient sweep", "k", params,
-		func(p int) core.Strategy { return core.KOperations{K: p} }, ws)
+	tables, err := sweep(cfg, testSpec("resilient sweep", 2, 4), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range res.Speedups[0] {
-		if math.IsNaN(v) || v <= 0 {
-			t.Fatalf("healthy workload got invalid speed-up %v", v)
+	sp := tables[0]
+	for _, row := range sp.Rows[1:] {
+		if c := row[1]; c.Mark != "" || math.IsNaN(c.V) || c.V <= 0 {
+			t.Fatalf("healthy workload got invalid speed-up %+v", c)
 		}
 	}
-	if res.baselineMark(1) != "error" {
-		t.Fatalf("baseline mark = %q, want error", res.baselineMark(1))
-	}
-	for pi := range params {
-		if !math.IsNaN(res.Speedups[1][pi]) || res.mark(1, pi) != "error" {
-			t.Fatalf("blown cell %d: speedup %v mark %q", pi, res.Speedups[1][pi], res.mark(1, pi))
+	for _, row := range sp.Rows {
+		if row[2].Mark != "error" {
+			t.Fatalf("blown cell %q carries mark %q, want error", row[0].Mark, row[2].Mark)
 		}
 	}
-	out := RenderSweep(res)
-	if !strings.Contains(out, "error") {
+	if out := sp.Text(); !strings.Contains(out, "error") {
 		t.Fatalf("render hides the marks:\n%s", out)
 	}
-	csv := res.CSV()
-	if !strings.Contains(csv, "error") {
+	if csv := sp.CSV(); !strings.Contains(csv, "error") {
 		t.Fatalf("CSV hides the marks:\n%s", csv)
 	}
 }
@@ -369,19 +405,20 @@ func TestSweepResilient(t *testing.T) {
 // instead of failing the table.
 func TestTable1Resilient(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute, MaxNodes: 5}
-	rows, err := Table1(cfg, 8)
+	tables, err := Table1(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("%d rows", len(rows))
+	tb := tables[0]
+	if len(tb.Rows) != 1 {
+		t.Fatalf("%d rows", len(tb.Rows))
 	}
-	r := rows[0]
-	if r.SotaMark != "oom" || r.GeneralMark != "oom" || r.RepeatingMark != "oom" {
-		t.Fatalf("marks %q %q %q, want oom everywhere under a 5-node budget",
-			r.SotaMark, r.GeneralMark, r.RepeatingMark)
+	for _, name := range []string{"t_sota", "t_general", "t_dd_repeating"} {
+		if m := tb.Rows[0][column(t, tb, name)].Mark; m != "oom" {
+			t.Fatalf("%s mark %q, want oom under a 5-node budget", name, m)
+		}
 	}
-	for _, out := range []string{RenderTable1(rows), Table1CSV(rows)} {
+	for _, out := range []string{tb.Text(), tb.CSV()} {
 		if !strings.Contains(out, "oom") {
 			t.Fatalf("output hides the oom marks:\n%s", out)
 		}
@@ -436,12 +473,21 @@ func TestTimeRepsKeepMatchingCell(t *testing.T) {
 	}
 }
 
-// deterministicCell strips the wall-clock fields; everything left must
-// be identical between a serial and a parallel sweep of the same cells.
-func deterministicCell(c CellMetrics) CellMetrics {
-	c.Seconds = 0
-	c.GCPauseSeconds = 0
-	return c
+// deterministicCSV blanks the wall-clock columns of a metrics table;
+// every cell left must be identical between a serial and a parallel
+// sweep of the same cells.
+func deterministicCSV(t *testing.T, tb *Table) string {
+	t.Helper()
+	clock := []int{column(t, tb, "seconds"), column(t, tb, "gc_pause_seconds")}
+	out := &Table{Columns: tb.Columns}
+	for _, r := range tb.Rows {
+		r = append([]Cell(nil), r...)
+		for _, ci := range clock {
+			r[ci] = label("")
+		}
+		out.Rows = append(out.Rows, r)
+	}
+	return out.CSV()
 }
 
 // TestSweepParallelMatchesSerial is the harness half of the acceptance
@@ -449,55 +495,51 @@ func deterministicCell(c CellMetrics) CellMetrics {
 // mode": marks, node counts and every other deterministic counter of
 // every cell must be identical; only timings may differ.
 func TestSweepParallelMatchesSerial(t *testing.T) {
-	params := []int{1, 2, 4}
-	run := func(parallel int) *SweepResult {
+	run := func(parallel int) []*Table {
 		cfg := Config{Reps: 1, Budget: time.Minute, Parallel: parallel}
-		res, err := sweep(cfg, "par sweep", "k", params,
-			func(p int) core.Strategy { return core.KOperations{K: p} }, tinyWorkloads())
+		tables, err := sweep(cfg, testSpec("par sweep", 1, 2, 4), tinyWorkloads())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return tables
 	}
 	serial, parallel := run(1), run(4)
+	s, p := deterministicCSV(t, serial[1]), deterministicCSV(t, parallel[1])
+	if s != p {
+		t.Fatalf("cells diverge:\nserial:\n%s\nparallel:\n%s", s, p)
+	}
+	if n := strings.Count(s, "\n"); n != 1+2*4 {
+		t.Fatalf("metrics table has %d lines, want header + 8 cells:\n%s", n, s)
+	}
+}
 
-	if !reflect.DeepEqual(serial.Marks, parallel.Marks) ||
-		!reflect.DeepEqual(serial.BaselineMark, parallel.BaselineMark) {
-		t.Fatalf("marks diverge:\nserial:   %v / %v\nparallel: %v / %v",
-			serial.Marks, serial.BaselineMark, parallel.Marks, parallel.BaselineMark)
-	}
-	for wi := range serial.Names {
-		if s, p := deterministicCell(serial.BaselineCells[wi]), deterministicCell(parallel.BaselineCells[wi]); s != p {
-			t.Fatalf("%s baseline cell diverges:\nserial:   %+v\nparallel: %+v", serial.Names[wi], s, p)
+// sweepMarks returns the marks of a speed-up table, row by row.
+func sweepMarks(tb *Table) [][]string {
+	var out [][]string
+	for _, r := range tb.Rows {
+		var marks []string
+		for _, c := range r[1 : len(r)-1] {
+			marks = append(marks, c.Mark)
 		}
-		for pi := range params {
-			s := deterministicCell(serial.Cells[wi][pi])
-			p := deterministicCell(parallel.Cells[wi][pi])
-			if s != p {
-				t.Fatalf("%s cell k=%d diverges:\nserial:   %+v\nparallel: %+v", serial.Names[wi], params[pi], s, p)
-			}
-		}
+		out = append(out, marks)
 	}
+	return out
 }
 
 // TestSweepParallelOOMMarksMatchSerial: cfg.MaxNodes stays a per-run
 // budget in parallel mode — oom marks must not depend on the worker
 // count.
 func TestSweepParallelOOMMarksMatchSerial(t *testing.T) {
-	params := []int{2, 8}
-	run := func(parallel int) *SweepResult {
+	run := func(parallel int) [][]string {
 		cfg := Config{Reps: 1, Budget: time.Minute, MaxNodes: 40, Parallel: parallel}
-		res, err := sweep(cfg, "oom sweep", "k", params,
-			func(p int) core.Strategy { return core.KOperations{K: p} }, tinyWorkloads())
+		tables, err := sweep(cfg, testSpec("oom sweep", 2, 8), tinyWorkloads())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return sweepMarks(tables[0])
 	}
 	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial.Marks, parallel.Marks) ||
-		!reflect.DeepEqual(serial.BaselineMark, parallel.BaselineMark) {
-		t.Fatalf("oom marks diverge:\nserial:   %v / %v\nparallel: %v / %v",
-			serial.Marks, serial.BaselineMark, parallel.Marks, parallel.BaselineMark)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("oom marks diverge:\nserial:   %v\nparallel: %v", serial, parallel)
 	}
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -37,6 +35,9 @@ type CellMetrics struct {
 	PeakNodes  int
 	Fallbacks  int
 	StateNodes int // final state DD size
+	// PeakStateNodes is the largest state DD along the run: the maximum
+	// over its step events.
+	PeakStateNodes int
 
 	// Degradations counts the memory-pressure governor's ladder actions
 	// during the run; FidelityBound is the run's cumulative fidelity
@@ -60,14 +61,19 @@ func (c CellMetrics) CacheHitRate() float64 {
 // runEndCapture is the sink the harness attaches to every measured
 // run: it keeps the last run_end event (multi-run workloads such as
 // shor's semiclassical loop emit several; the final one carries the
-// totals of the run that produced the cell's outcome).
+// totals of the run that produced the cell's outcome) and the largest
+// state DD any step reported.
 type runEndCapture struct {
-	ev obs.Event
-	ok bool
+	ev        obs.Event
+	ok        bool
+	peakState int
 }
 
 func (s *runEndCapture) Emit(e obs.Event) {
-	if e.Kind == obs.KindRunEnd {
+	switch e.Kind {
+	case obs.KindStep:
+		s.peakState = max(s.peakState, e.StateNodes)
+	case obs.KindRunEnd:
 		s.ev, s.ok = e, true
 	}
 }
@@ -97,59 +103,41 @@ func (s *runEndCapture) cell(seconds float64) CellMetrics {
 		Degradations:    e.Degradations,
 		FidelityBound:   e.FidelityBound,
 		Abort:           e.Abort,
+		PeakStateNodes:  s.peakState,
 	}
 }
 
-// metricsCSVHeader is the long-format per-cell telemetry schema shared
-// by the sweep experiments.
-const metricsCSVHeader = "workload,param,seconds,mark," +
-	"matvec_muls,matmat_muls,mul_recursions,identity_skips_mv,identity_skips_mm," +
-	"cache_lookups,cache_hits,cache_hit_rate," +
-	"nodes_created,gcs,gc_pause_seconds,peak_nodes,fallbacks,state_nodes," +
-	"degradations,fidelity_bound\n"
-
-func appendMetricsRow(sb *strings.Builder, workload, param, mark string, c CellMetrics) {
-	if !c.Valid {
-		return
-	}
-	rate := ""
-	if hr := c.CacheHitRate(); !math.IsNaN(hr) {
-		rate = fmt.Sprintf("%.4f", hr)
-	}
-	bound := ""
-	if c.FidelityBound > 0 {
-		bound = fmt.Sprintf("%.6g", c.FidelityBound)
-	}
-	fmt.Fprintf(sb, "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d,%s,%d,%d,%d,%d,%s\n",
-		csvEscape(workload), csvEscape(param), csvFloat(c.Seconds), mark,
-		c.MatVecMuls, c.MatMatMuls, c.MulRecursions, c.IdentitySkipsMV, c.IdentitySkipsMM,
-		c.CacheLookups, c.CacheHits, rate,
-		c.NodesCreated, c.GCs, csvFloat(c.GCPauseSeconds),
-		c.PeakNodes, c.Fallbacks, c.StateNodes,
-		c.Degradations, bound)
-}
-
-// MetricsCSV renders the sweep's per-cell telemetry in long format —
-// one row per measured cell, baseline rows first (param "baseline").
-// Returns "" for results recorded before cell metrics existed.
-func (r *SweepResult) MetricsCSV() string {
-	if r.Cells == nil && r.BaselineCells == nil {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteString(metricsCSVHeader)
-	for wi, name := range r.Names {
-		if wi < len(r.BaselineCells) {
-			appendMetricsRow(&sb, name, "baseline", r.baselineMark(wi), r.BaselineCells[wi])
-		}
-		if wi >= len(r.Cells) {
-			continue
-		}
-		for pi, p := range r.Params {
-			if pi < len(r.Cells[wi]) {
-				appendMetricsRow(&sb, name, fmt.Sprintf("%d", p), r.mark(wi, pi), r.Cells[wi][pi])
+// metricsTable is a sweep's per-cell telemetry in long format (CSV
+// only): one row per measured cell, each workload's baseline first.
+// Cells that died before the simulation started have no telemetry and
+// no row; aborted cells keep the partial run's counters.
+func metricsTable(ws []Workload, arms []arm, ms [][]Measurement) *Table {
+	t := &Table{Name: "metrics", Columns: cols(CSVOnly,
+		"workload", "param", "seconds", "mark",
+		"matvec_muls", "matmat_muls", "mul_recursions", "identity_skips_mv", "identity_skips_mm",
+		"cache_lookups", "cache_hits", "cache_hit_rate",
+		"nodes_created", "gcs", "gc_pause_seconds", "peak_nodes", "fallbacks", "state_nodes",
+		"degradations", "fidelity_bound")}
+	for wi, w := range ws {
+		for ai, m := range ms[wi] {
+			c := m.Cell
+			if !c.Valid {
+				continue
 			}
+			bound := math.NaN() // runs the governor never touched
+			if c.FidelityBound > 0 {
+				bound = c.FidelityBound
+			}
+			t.Rows = append(t.Rows, []Cell{
+				label(w.Name), label(arms[ai].label), {V: c.Seconds, Unit: Seconds}, label(m.Mark()),
+				count(c.MatVecMuls), count(c.MatMatMuls), count(c.MulRecursions),
+				count(c.IdentitySkipsMV), count(c.IdentitySkipsMM),
+				count(c.CacheLookups), count(c.CacheHits), {V: c.CacheHitRate(), Unit: Percent},
+				count(c.NodesCreated), count(c.GCs), {V: c.GCPauseSeconds, Unit: Seconds},
+				count(c.PeakNodes), count(c.Fallbacks), count(c.StateNodes),
+				count(c.Degradations), {V: bound, Unit: Fidelity},
+			})
 		}
 	}
-	return sb.String()
+	return t
 }

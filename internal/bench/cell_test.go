@@ -65,18 +65,18 @@ func TestCellHitRateNaNWithoutLookups(t *testing.T) {
 func TestSweepMetricsCSV(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute}
 	params := []int{2, 4}
-	res, err := sweep(cfg, "test sweep", "k", params,
-		func(p int) core.Strategy { return core.KOperations{K: p} }, tinyWorkloads())
+	tables, err := sweep(cfg, testSpec("test sweep", params...), tinyWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != len(res.Names) || len(res.BaselineCells) != len(res.Names) {
-		t.Fatalf("cell shape: %d/%d rows for %d workloads", len(res.Cells), len(res.BaselineCells), len(res.Names))
+	mt := tables[1]
+	if mt.Name != "metrics" || mt.Text() != "" {
+		t.Fatalf("metrics table %q must be CSV only", mt.Name)
 	}
-	out := res.MetricsCSV()
+	out := mt.CSV()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// header + (baseline + len(params)) rows per workload
-	want := 1 + len(res.Names)*(1+len(params))
+	want := 1 + len(tinyWorkloads())*(1+len(params))
 	if len(lines) != want {
 		t.Fatalf("metrics CSV has %d lines, want %d:\n%s", len(lines), want, out)
 	}
@@ -94,32 +94,27 @@ func TestSweepMetricsCSV(t *testing.T) {
 	}
 }
 
-func TestMetricsCSVEmptyWithoutCells(t *testing.T) {
-	r := &SweepResult{Names: []string{"w"}, Params: []int{1}}
-	if got := r.MetricsCSV(); got != "" {
-		t.Fatalf("pre-cells result rendered %q", got)
-	}
-}
-
 func TestEngineStatsCarriesPeakAndFallbacks(t *testing.T) {
-	rows, err := EngineStats(Config{Budget: time.Minute})
+	tables, err := EngineStats(Config{Budget: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
+	tb := tables[0]
+	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}
-	for _, r := range rows {
-		if r.PeakNodes <= 0 {
-			t.Fatalf("row %s/%s has no peak nodes", r.Workload, r.Strategy)
+	peak := column(t, tb, "peak_nodes")
+	for _, r := range tb.Rows {
+		if r[peak].Mark != "" || r[peak].V <= 0 {
+			t.Fatalf("row %s/%s has no peak nodes", r[0].Mark, r[1].Mark)
 		}
 	}
-	text := RenderEngineStats(rows)
-	if !strings.Contains(text, "peak") || !strings.Contains(text, "fb") {
-		t.Fatalf("render missing new columns:\n%s", text)
+	text := tb.Text()
+	if !strings.Contains(text, "peak_nodes") || !strings.Contains(text, "fallbacks") || !strings.Contains(text, "mul-mv") {
+		t.Fatalf("render missing columns:\n%s", text)
 	}
-	csv := EngineStatsCSV(rows)
-	if !strings.Contains(csv, ",peak_nodes,fallbacks") {
-		t.Fatalf("CSV missing new columns:\n%s", csv)
+	csv := tb.CSV()
+	if !strings.Contains(csv, ",peak_nodes,fallbacks\n") || strings.Contains(csv, "mul-mv") {
+		t.Fatalf("CSV columns wrong:\n%s", csv)
 	}
 }

@@ -1,140 +1,68 @@
 package bench
 
 import (
-	"errors"
-	"fmt"
-	"strings"
-	"time"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dd"
 )
 
-// EngineStatsRow is one workload×strategy run with the engine's cache
-// and memory-layer counters snapshotted after the simulation.
-type EngineStatsRow struct {
-	Workload string
-	Strategy string
-	Seconds  float64
-
-	AddV, AddM, MulMV, MulMM dd.CacheStats
-
-	// MulRecursions counts multiplication-kernel recursion steps;
-	// IdentitySkips the identity short-circuits taken (mat-vec +
-	// mat-mat) and IdentitySkipLevels the recursion levels they avoided.
-	MulRecursions      uint64
-	IdentitySkips      uint64
-	IdentitySkipLevels uint64
-
-	NodesCreated  uint64
-	NodesRecycled uint64
-	GCs           uint64
-	GCPause       time.Duration
-	PeakNodes     int
-	Fallbacks     int
-}
-
-// EngineStats runs a small workload mix under each strategy family with
-// a dedicated engine per run and reports the per-cache hit rates and GC
-// behaviour. This is the harness view of the engine memory layer: the
-// same counters ddsim -stats prints for a single circuit, across the
-// paper's benchmark families.
-func EngineStats(cfg Config) ([]EngineStatsRow, error) {
-	ws := []Workload{
+// EngineStats runs a small workload mix under each strategy family and
+// reports the engine's per-cache hit rates and GC behaviour. This is
+// the harness view of the engine memory layer: the same counters
+// ddsim -stats prints for a single circuit, across the paper's
+// benchmark families.
+func EngineStats(cfg Config) ([]*Table, error) {
+	return engineStats(cfg, []Workload{
 		GroverWorkload(14),
 		ShorWorkload(15, 7),
 		SupremacyWorkload(4, 4, 12, 7),
+	})
+}
+
+func engineStats(cfg Config, ws []Workload) ([]*Table, error) {
+	var arms []arm
+	for _, st := range []core.Strategy{core.Sequential{}, core.KOperations{K: 4}, core.MaxSize{SMax: 128}} {
+		arms = append(arms, arm{st.Name(), core.Options{Strategy: st}})
 	}
-	strategies := []core.Strategy{
-		core.Sequential{},
-		core.KOperations{K: 4},
-		core.MaxSize{SMax: 128},
+	ms, err := measureGrid(cfg, ws, arms)
+	if err != nil {
+		return nil, err
 	}
-	var rows []EngineStatsRow
-	for _, w := range ws {
-		for _, st := range strategies {
-			e := dd.New()
-			cap := &runEndCapture{}
-			opt := core.Options{Strategy: st, Engine: e, EventSink: cap, Metrics: cfg.Metrics}
-			if cfg.Budget > 0 {
-				opt.Deadline = time.Now().Add(cfg.Budget)
-			}
-			start := time.Now()
-			err := w.Run(opt)
-			elapsed := time.Since(start).Seconds()
-			if err != nil {
-				if errors.Is(err, core.ErrDeadlineExceeded) {
-					continue // drop timed-out runs; the row would be partial
+	t := &Table{
+		Title: "Engine statistics: per-cache hit rates and GC behaviour per workload and strategy\n" +
+			"(add-v … mul-mm: cache hits / lookups; identity_skips: identity short-circuits\n" +
+			"taken; gc_pause_seconds: summed over all collections; peak_nodes: live V+M nodes)",
+		Columns: append(append(append(
+			cols(Both, "workload", "strategy", "seconds"),
+			cols(TextOnly, "add-v", "add-m", "mul-mv", "mul-mm")...),
+			cols(CSVOnly, "addv_lookups", "addv_hits", "addm_lookups", "addm_hits",
+				"mulmv_lookups", "mulmv_hits", "mulmm_lookups", "mulmm_hits")...),
+			cols(Both, "mul_recursions", "identity_skips", "identity_skip_levels",
+				"nodes_created", "nodes_recycled", "gcs", "gc_pause_seconds", "peak_nodes", "fallbacks")...),
+	}
+	for wi, w := range ws {
+		for ai, a := range arms {
+			m := ms[wi][ai]
+			s := m.Stats
+			n := func(v uint64) Cell { return counted(m, float64(v), Count) }
+			rate := func(c dd.CacheStats) Cell {
+				v := math.NaN() // the strategy never consulted this cache
+				if c.Lookups > 0 {
+					v = c.HitRate()
 				}
-				return nil, fmt.Errorf("bench: enginestats: %s/%s: %w", w.Name, st.Name(), err)
+				return counted(m, v, Percent)
 			}
-			s := e.Stats()
-			rows = append(rows, EngineStatsRow{
-				Workload:           w.Name,
-				Strategy:           st.Name(),
-				Seconds:            elapsed,
-				AddV:               s.AddV,
-				AddM:               s.AddM,
-				MulMV:              s.MulMV,
-				MulMM:              s.MulMM,
-				MulRecursions:      s.MulRecursions,
-				IdentitySkips:      s.IdentitySkipsMV + s.IdentitySkipsMM,
-				IdentitySkipLevels: s.IdentitySkipLevels,
-				NodesCreated:       s.NodesCreated,
-				NodesRecycled:      s.NodesRecycled,
-				GCs:                s.GCs,
-				GCPause:            s.GCPause,
-				PeakNodes:          s.PeakVNodes + s.PeakMNodes,
-				Fallbacks:          cap.cell(elapsed).Fallbacks,
+			t.Rows = append(t.Rows, []Cell{
+				label(w.Name), label(a.label), secs(m),
+				rate(s.AddV), rate(s.AddM), rate(s.MulMV), rate(s.MulMM),
+				n(s.AddV.Lookups), n(s.AddV.Hits), n(s.AddM.Lookups), n(s.AddM.Hits),
+				n(s.MulMV.Lookups), n(s.MulMV.Hits), n(s.MulMM.Lookups), n(s.MulMM.Hits),
+				n(s.MulRecursions), n(s.IdentitySkipsMV + s.IdentitySkipsMM), n(s.IdentitySkipLevels),
+				n(s.NodesCreated), n(s.NodesRecycled), n(s.GCs), counted(m, s.GCPause.Seconds(), Seconds),
+				n(uint64(s.PeakVNodes + s.PeakMNodes)), n(uint64(m.Cell.Fallbacks)),
 			})
 		}
 	}
-	return rows, nil
-}
-
-// RenderEngineStats renders the engine-counter table.
-func RenderEngineStats(rows []EngineStatsRow) string {
-	var sb strings.Builder
-	sb.WriteString("Engine statistics: per-cache hit rates and GC behaviour per workload and strategy\n")
-	sb.WriteString("(hit rate = cache hits / lookups; mul-rec = multiplication recursions, id-skips = identity\n")
-	sb.WriteString(" short-circuits taken; nodes = created/recycled; pauses summed over all collections)\n\n")
-	fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10s %9s %12s %12s %5s %10s %9s %5s\n",
-		"Benchmark", "Strategy", "add-v", "add-m", "mul-mv", "mul-mm",
-		"mul-rec", "id-skips", "created", "recycled", "GCs", "pause", "peak", "fb")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10d %9d %12d %12d %5d %10s %9d %5d\n",
-			r.Workload, r.Strategy,
-			fmtRate(r.AddV), fmtRate(r.AddM), fmtRate(r.MulMV), fmtRate(r.MulMM),
-			r.MulRecursions, r.IdentitySkips,
-			r.NodesCreated, r.NodesRecycled, r.GCs, r.GCPause.Round(time.Microsecond),
-			r.PeakNodes, r.Fallbacks)
-	}
-	return sb.String()
-}
-
-func fmtRate(c dd.CacheStats) string {
-	if c.Lookups == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*c.HitRate())
-}
-
-// EngineStatsCSV renders the raw counters as CSV.
-func EngineStatsCSV(rows []EngineStatsRow) string {
-	var sb strings.Builder
-	sb.WriteString("workload,strategy,seconds," +
-		"addv_lookups,addv_hits,addm_lookups,addm_hits," +
-		"mulmv_lookups,mulmv_hits,mulmm_lookups,mulmm_hits," +
-		"mul_recursions,identity_skips,identity_skip_levels," +
-		"nodes_created,nodes_recycled,gcs,gc_pause_seconds,peak_nodes,fallbacks\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d\n",
-			csvEscape(r.Workload), csvEscape(r.Strategy), csvFloat(r.Seconds),
-			r.AddV.Lookups, r.AddV.Hits, r.AddM.Lookups, r.AddM.Hits,
-			r.MulMV.Lookups, r.MulMV.Hits, r.MulMM.Lookups, r.MulMM.Hits,
-			r.MulRecursions, r.IdentitySkips, r.IdentitySkipLevels,
-			r.NodesCreated, r.NodesRecycled, r.GCs, csvFloat(r.GCPause.Seconds()),
-			r.PeakNodes, r.Fallbacks)
-	}
-	return sb.String()
+	return []*Table{t}, nil
 }

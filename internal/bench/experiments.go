@@ -1,14 +1,15 @@
 package bench
 
 import (
-	"context"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/shor"
 	"repro/internal/supremacy"
 )
@@ -19,42 +20,12 @@ func newSeededRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 // --- Fig. 8 / Fig. 9: parameter sweeps ---------------------------------
 
-// SweepResult holds a speed-up sweep: for each workload a speed-up per
-// parameter value (t_sequential / t_strategy), plus the per-parameter
-// geometric-mean average line the paper plots.
-type SweepResult struct {
-	Title    string
-	Param    string // "k" or "s_max"
-	Params   []int
-	Names    []string    // workload names
-	Baseline []float64   // sequential seconds per workload
-	Speedups [][]float64 // [workload][param]; NaN marks a timeout/oom/error
-	Average  []float64   // geometric mean per param over valid entries
-	// Marks records why a cell is NaN ("timeout", "oom", "error"; "" for
-	// clean cells). BaselineMark does the same for the baseline column.
-	// Both may be nil on results built before marks existed.
-	Marks        [][]string
-	BaselineMark []string
-	// Cells and BaselineCells carry per-cell run telemetry (same layout
-	// as Speedups / Baseline); rendered by MetricsCSV. Nil on results
-	// built before cell metrics existed.
-	Cells         [][]CellMetrics
-	BaselineCells []CellMetrics
-}
-
-// mark returns the cell mark, tolerating results without mark data.
-func (r *SweepResult) mark(wi, pi int) string {
-	if r.Marks == nil || wi >= len(r.Marks) || pi >= len(r.Marks[wi]) {
-		return ""
-	}
-	return r.Marks[wi][pi]
-}
-
-func (r *SweepResult) baselineMark(wi int) string {
-	if wi >= len(r.BaselineMark) {
-		return ""
-	}
-	return r.BaselineMark[wi]
+// sweepSpec is one speed-up sweep: a strategy family over a parameter,
+// every cell's speed-up taken over the workload's sequential baseline.
+type sweepSpec struct {
+	title, param string
+	params       []int
+	strategy     func(int) core.Strategy
 }
 
 // Fig8Params are the k values swept for strategy k-operations.
@@ -63,154 +34,123 @@ var Fig8Params = []int{2, 4, 8, 16, 32, 64, 128}
 // Fig9Params are the s_max values swept for strategy max-size.
 var Fig9Params = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
+// AdaptiveParams are the ratio values (×100, to keep the integer sweep
+// machinery) swept for the adaptive-strategy ablation: 0.1 … 8.
+var AdaptiveParams = []int{10, 25, 50, 100, 200, 400, 800}
+
+var (
+	fig8Spec = sweepSpec{"Fig. 8: speed-up of strategy k-operations vs. sequential", "k",
+		Fig8Params, func(p int) core.Strategy { return core.KOperations{K: p} }}
+	fig9Spec = sweepSpec{"Fig. 9: speed-up of strategy max-size vs. sequential", "s_max",
+		Fig9Params, func(p int) core.Strategy { return core.MaxSize{SMax: p} }}
+	adaptiveSpec = sweepSpec{"Adaptive-strategy sweep: speed-up vs. op/state size ratio (×100)", "ratio×100",
+		AdaptiveParams, func(p int) core.Strategy { return core.Adaptive{Ratio: float64(p) / 100} }}
+)
+
 // Fig8 reproduces the k-operations sweep.
-func Fig8(cfg Config) (*SweepResult, error) {
-	return sweep(cfg, "Fig. 8: speed-up of strategy k-operations vs. sequential", "k",
-		Fig8Params, func(p int) core.Strategy { return core.KOperations{K: p} }, FigWorkloads(cfg.Full))
-}
+func Fig8(cfg Config) ([]*Table, error) { return sweep(cfg, fig8Spec, FigWorkloads(cfg.Full)) }
 
 // Fig9 reproduces the max-size sweep.
-func Fig9(cfg Config) (*SweepResult, error) {
-	return sweep(cfg, "Fig. 9: speed-up of strategy max-size vs. sequential", "s_max",
-		Fig9Params, func(p int) core.Strategy { return core.MaxSize{SMax: p} }, FigWorkloads(cfg.Full))
+func Fig9(cfg Config) ([]*Table, error) { return sweep(cfg, fig9Spec, FigWorkloads(cfg.Full)) }
+
+// AdaptiveSweep runs the fig-8/9-style sweep for the adaptive strategy
+// (an extension beyond the paper; see DESIGN.md ablations).
+func AdaptiveSweep(cfg Config) ([]*Table, error) {
+	return sweep(cfg, adaptiveSpec, FigWorkloads(cfg.Full))
 }
 
-func sweep(cfg Config, title, param string, params []int, mk func(int) core.Strategy, ws []Workload) (*SweepResult, error) {
-	res := &SweepResult{Title: title, Param: param, Params: params}
-	// Every cell — the sequential baselines included — is an independent
-	// measurement on its own fresh engine; the speed-up arithmetic runs
-	// afterwards, so the cells can execute in any order and runCells may
-	// fan them out across a worker pool (cfg.Parallel). Cell index
-	// layout: workload wi owns the contiguous block starting at
-	// wi*(1+len(params)), baseline first, then one cell per parameter.
-	stride := 1 + len(params)
-	strategyFor := func(i int) core.Strategy {
-		if i%stride == 0 {
-			return core.Sequential{}
-		}
-		return mk(params[i%stride-1])
+// sweep measures every workload's sequential baseline and every swept
+// configuration, and reports the speed-up table (with the geometric-mean
+// average line the paper plots) and the per-cell telemetry table.
+func sweep(cfg Config, s sweepSpec, ws []Workload) ([]*Table, error) {
+	arms := []arm{{"baseline", core.Options{Strategy: core.Sequential{}}}}
+	for _, p := range s.params {
+		arms = append(arms, arm{strconv.Itoa(p), core.Options{Strategy: s.strategy(p)}})
 	}
-	ms, err := runCells(cfg, stride*len(ws), func(i int, cfg Config) Measurement {
-		return Time(ws[i/stride], core.Options{Strategy: strategyFor(i)}, cfg)
-	})
+	ms, err := measureGrid(cfg, ws, arms)
 	if err != nil {
 		return nil, err
 	}
-	for wi, w := range ws {
-		base := ms[wi*stride]
-		res.Names = append(res.Names, w.Name)
-		res.BaselineMark = append(res.BaselineMark, base.Mark())
-		baseSec := base.Seconds
-		if base.Mark() != "" {
-			baseSec = math.NaN()
-		}
-		res.Baseline = append(res.Baseline, baseSec)
-		res.BaselineCells = append(res.BaselineCells, base.Cell)
-		row := make([]float64, len(params))
-		marks := make([]string, len(params))
-		cells := make([]CellMetrics, len(params))
-		for i := range params {
-			m := ms[wi*stride+1+i]
-			marks[i] = m.Mark()
-			cells[i] = m.Cell
-			if m.Mark() != "" || base.Mark() != "" {
-				row[i] = math.NaN()
-			} else {
-				row[i] = base.Seconds / m.Seconds
-			}
-		}
-		res.Speedups = append(res.Speedups, row)
-		res.Marks = append(res.Marks, marks)
-		res.Cells = append(res.Cells, cells)
+	return []*Table{speedupTable(s, ws, arms, ms), metricsTable(ws, arms, ms)}, nil
+}
+
+// speedupTable lays the sweep out as the paper's figure: one row per
+// parameter, one column per workload, a cell's speed-up being
+// t_sequential / t_strategy. A failed cell shows its mark; a clean cell
+// over a failed baseline has no speed-up.
+func speedupTable(s sweepSpec, ws []Workload, arms []arm, ms [][]Measurement) *Table {
+	t := &Table{
+		Title:   s.title + "\n(speed-up = t_sequential / t_strategy; the baseline_seconds row holds t_sequential)",
+		Columns: cols(Both, s.param),
 	}
-	res.Average = make([]float64, len(params))
-	for i := range params {
+	base := []Cell{label("baseline_seconds")}
+	for wi, w := range ws {
+		t.Columns = append(t.Columns, Column{Name: w.Name})
+		base = append(base, secs(ms[wi][0]))
+	}
+	t.Columns = append(t.Columns, Column{Name: "average"})
+	t.Rows = append(t.Rows, append(base, label("")))
+	avgs := make([]float64, len(s.params))
+	for pi := range s.params {
+		row := []Cell{label(arms[1+pi].label)}
 		prod, n := 1.0, 0
-		for _, row := range res.Speedups {
-			if !math.IsNaN(row[i]) {
-				prod *= row[i]
+		for wi := range ws {
+			b, m := ms[wi][0], ms[wi][1+pi]
+			v := math.NaN()
+			if b.Mark() == "" && m.Mark() == "" {
+				v = b.Seconds / m.Seconds
+				prod *= v
 				n++
 			}
+			row = append(row, measured(m, v, Ratio))
 		}
-		if n == 0 {
-			res.Average[i] = math.NaN()
-		} else {
-			res.Average[i] = math.Pow(prod, 1/float64(n))
+		avgs[pi] = math.NaN()
+		if n > 0 {
+			avgs[pi] = math.Pow(prod, 1/float64(n))
 		}
+		t.Rows = append(t.Rows, append(row, Cell{V: avgs[pi], Unit: Ratio}))
 	}
-	return res, nil
+	t.Footer = averageChart(s, avgs)
+	return t
 }
 
-// runCells executes n independent cell measurements: in index order
-// when cfg.Parallel <= 1, otherwise through a bounded worker pool
-// (internal/batch). Results always come back in cell order, so the
-// rendered tables and CSV are identical either way — marks and node
-// counts exactly, timings modulo machine load. cfg.MaxNodes stays a
-// per-run budget (each cell simulates on its own fresh engine), so
-// oom marks do not depend on the worker count. Shared sinks are
-// serialised for the parallel path; the shared metrics registry is
-// already safe for concurrent runs.
-func runCells(cfg Config, n int, measure func(i int, cfg Config) Measurement) ([]Measurement, error) {
-	if cfg.Parallel <= 1 {
-		out := make([]Measurement, n)
-		for i := range out {
-			out[i] = measure(i, cfg)
-		}
-		return out, nil
-	}
-	pcfg := cfg
-	if cfg.Events != nil {
-		pcfg.Events = obs.NewSyncSink(cfg.Events)
-	}
-	jobs := make([]batch.Job[Measurement], n)
-	for i := range jobs {
-		i := i
-		jobs[i] = func(context.Context, int) (Measurement, error) {
-			return measure(i, pcfg), nil
+// averageChart draws the average speed-up per parameter as a bar
+// chart, the textual analogue of the paper's figure.
+func averageChart(s sweepSpec, avgs []float64) string {
+	var sb strings.Builder
+	maxAvg := 1.0
+	for _, v := range avgs {
+		if !math.IsNaN(v) && v > maxAvg {
+			maxAvg = v
 		}
 	}
-	pres, err := batch.Run(context.Background(), jobs,
-		batch.Options{Workers: cfg.Parallel, Metrics: cfg.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Measurement, n)
-	for i, pr := range pres {
-		// Cells report failures through Measurement marks; pool-level
-		// errors only arise from panics the measurement did not absorb.
-		if pr.Err != nil {
-			out[i] = Measurement{Err: pr.Err}
+	const width = 48
+	fmt.Fprintf(&sb, "average speed-up over %s (| marks 1.0x):\n", s.param)
+	onePos := int(float64(width) / maxAvg)
+	for pi, p := range s.params {
+		v := avgs[pi]
+		if math.IsNaN(v) {
+			fmt.Fprintf(&sb, "%8d  (no clean cell)\n", p)
 			continue
 		}
-		out[i] = pr.Value
+		bars := int(v / maxAvg * float64(width))
+		line := make([]byte, width+1)
+		for i := range line {
+			switch {
+			case i < bars:
+				line[i] = '#'
+			case i == onePos:
+				line[i] = '|'
+			default:
+				line[i] = ' '
+			}
+		}
+		fmt.Fprintf(&sb, "%8d  %s %.2fx\n", p, string(line), v)
 	}
-	return out, nil
+	return sb.String()
 }
 
-// --- Table I: grover with DD-repeating ----------------------------------
-
-// Table1Row mirrors one row of the paper's Table I. The mark fields
-// carry "timeout" / "oom" / "error" when the corresponding column
-// failed ("" for clean cells); its time is then NaN.
-type Table1Row struct {
-	Name          string
-	TSota         float64 // sequential (state of the art)
-	SotaMark      string
-	TGeneral      float64 // best general strategy
-	GeneralName   string  // which general strategy won
-	GeneralMark   string
-	TRepeating    float64 // DD-repeating (block matrix re-used)
-	RepeatingMark string
-}
-
-// Table1Sizes returns the grover sizes benchmarked (paper: 23–29
-// qubits; scaled here per DESIGN.md).
-func Table1Sizes(full bool) []int {
-	if full {
-		return []int{14, 16, 18, 20}
-	}
-	return []int{12, 14, 16, 18}
-}
+// --- Tables I and II ----------------------------------------------------
 
 // generalStrategies is the small sweep from which t_general picks its
 // best result (the paper reports the best k/s_max choice).
@@ -224,68 +164,68 @@ func generalStrategies() []core.Strategy {
 	}
 }
 
+// paperArms are the columns of both tables: t_sota (sequential), the
+// general strategies, and whatever the table adds.
+func paperArms(extra ...arm) []arm {
+	arms := []arm{{"sequential", core.Options{Strategy: core.Sequential{}}}}
+	for _, st := range generalStrategies() {
+		arms = append(arms, arm{st.Name(), core.Options{Strategy: st}})
+	}
+	return append(arms, extra...)
+}
+
+// bestGeneral picks t_general from the general-strategy cells: the
+// fastest clean run and its strategy name. When none finished it
+// returns the last failed run, whose mark the cell then shows.
+func bestGeneral(arms []arm, ms []Measurement) (Measurement, string) {
+	best, name := ms[len(ms)-1], ""
+	for i, m := range ms {
+		if m.Mark() == "" && (name == "" || m.Seconds < best.Seconds) {
+			best, name = m, arms[i].label
+		}
+	}
+	return best, name
+}
+
+// Table1Sizes returns the grover sizes benchmarked (paper: 23–29
+// qubits; scaled here per DESIGN.md).
+func Table1Sizes(full bool) []int {
+	if full {
+		return []int{14, 16, 18, 20}
+	}
+	return []int{12, 14, 16, 18}
+}
+
 // Table1 reproduces Table I: t_sota, t_general and t_DD-repeating for
 // the grover benchmarks. Custom sizes override the defaults (used by
 // tests and ad-hoc sweeps).
-func Table1(cfg Config, sizes ...int) ([]Table1Row, error) {
+func Table1(cfg Config, sizes ...int) ([]*Table, error) {
 	if len(sizes) == 0 {
 		sizes = Table1Sizes(cfg.Full)
 	}
-	var rows []Table1Row
-	for _, n := range sizes {
-		w := GroverWorkload(n)
-		sota := Time(w, core.Options{Strategy: core.Sequential{}}, cfg)
-		row := Table1Row{Name: w.Name, TSota: sota.Seconds, SotaMark: sota.Mark()}
-		if sota.Mark() != "" {
-			row.TSota = math.NaN()
-		}
-
-		row.TGeneral = math.Inf(1)
-		failMark := "timeout"
-		anyClean := false
-		for _, st := range generalStrategies() {
-			m := Time(w, core.Options{Strategy: st}, cfg)
-			if m.Mark() != "" {
-				failMark = m.Mark()
-				continue
-			}
-			anyClean = true
-			if m.Seconds < row.TGeneral {
-				row.TGeneral = m.Seconds
-				row.GeneralName = st.Name()
-			}
-		}
-		if !anyClean {
-			row.TGeneral, row.GeneralMark = math.NaN(), failMark
-		}
-
-		rep := Time(w, core.Options{Strategy: core.Sequential{}, UseBlocks: true}, cfg)
-		row.TRepeating, row.RepeatingMark = rep.Seconds, rep.Mark()
-		if rep.Mark() != "" {
-			row.TRepeating = math.NaN()
-		}
-		rows = append(rows, row)
+	ws := make([]Workload, len(sizes))
+	for i, n := range sizes {
+		ws[i] = GroverWorkload(n)
 	}
-	return rows, nil
+	arms := paperArms(arm{"DD-repeating", core.Options{Strategy: core.Sequential{}, UseBlocks: true}})
+	ms, err := measureGrid(cfg, ws, arms)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{table1(ws, arms, ms)}, nil
 }
 
-// --- Table II: shor with DD-construct -----------------------------------
-
-// Table2Row mirrors one row of the paper's Table II. Timeout flags
-// correspond to the paper's ">7200.00" entries; the mark fields
-// additionally distinguish "oom" and "error" cells under a node budget.
-type Table2Row struct {
-	Name            string
-	QubitsGate      int // 2n+3 qubits of the gate-level circuit
-	QubitsConstruct int // n+1 qubits of the DD-construct run
-	TSota           float64
-	SotaTimeout     bool
-	SotaMark        string
-	TGeneral        float64
-	GeneralTimeout  bool
-	GeneralMark     string
-	GeneralName     string
-	TConstruct      float64
+func table1(ws []Workload, arms []arm, ms [][]Measurement) *Table {
+	t := &Table{
+		Title:   "Table I: results for grover benchmarks (strategy DD-repeating)\nall times in seconds",
+		Columns: cols(Both, "benchmark", "t_sota", "t_general", "t_dd_repeating", "best_general"),
+	}
+	last := len(arms) - 1
+	for wi, w := range ws {
+		g, name := bestGeneral(arms[1:last], ms[wi][1:last])
+		t.Rows = append(t.Rows, []Cell{label(w.Name), secs(ms[wi][0]), secs(g), secs(ms[wi][last]), label(name)})
+	}
+	return t
 }
 
 // ShorInstance is one (N, a) order-finding instance.
@@ -310,72 +250,66 @@ func Table2Instances(full bool) []ShorInstance {
 }
 
 // Table2 reproduces Table II: t_sota, t_general and t_DD-construct.
-// Custom instances override the defaults.
-func Table2(cfg Config, instances ...ShorInstance) ([]Table2Row, error) {
+// Custom instances override the defaults. DD-construct builds its
+// oracle outside the gate-level simulator, so its column is timed
+// directly rather than through Time.
+func Table2(cfg Config, instances ...ShorInstance) ([]*Table, error) {
 	if len(instances) == 0 {
 		instances = Table2Instances(cfg.Full)
 	}
-	var rows []Table2Row
-	for _, inst := range instances {
-		w := ShorWorkload(inst.N, inst.A)
-		nBits := bitLen(inst.N)
-		row := Table2Row{
-			Name:            w.Name,
-			QubitsGate:      2*nBits + 3,
-			QubitsConstruct: nBits + 1,
-		}
-
-		sota := Time(w, core.Options{Strategy: core.Sequential{}}, cfg)
-		row.TSota, row.SotaTimeout, row.SotaMark = sota.Seconds, sota.TimedOut, sota.Mark()
-
-		row.TGeneral = math.Inf(1)
-		row.GeneralTimeout = true
-		failMark := "timeout"
-		for _, st := range generalStrategies() {
-			m := Time(w, core.Options{Strategy: st}, cfg)
-			if m.Mark() != "" {
-				failMark = m.Mark()
-				continue
-			}
-			if m.Seconds < row.TGeneral {
-				row.TGeneral = m.Seconds
-				row.GeneralName = st.Name()
-				row.GeneralTimeout = false
-			}
-		}
-		if row.GeneralTimeout {
-			row.TGeneral = cfg.Budget.Seconds()
-			row.GeneralMark = failMark
-		}
-
+	ws := make([]Workload, len(instances))
+	for i, inst := range instances {
+		ws[i] = ShorWorkload(inst.N, inst.A)
+	}
+	arms := paperArms()
+	ms, err := measureGrid(cfg, ws, arms)
+	if err != nil {
+		return nil, err
+	}
+	construct := make([]float64, len(instances))
+	for i, inst := range instances {
 		start := time.Now()
 		if _, err := shor.SimulateDDConstruct(inst.N, inst.A, newSeededRand()); err != nil {
 			return nil, err
 		}
-		row.TConstruct = time.Since(start).Seconds()
-		rows = append(rows, row)
+		construct[i] = time.Since(start).Seconds()
 	}
-	return rows, nil
+	return []*Table{table2(instances, arms, ms, construct, cfg.Budget.Seconds())}, nil
+}
+
+func table2(instances []ShorInstance, arms []arm, ms [][]Measurement, construct []float64, budget float64) *Table {
+	t := &Table{
+		Title: "Table II: results for shor benchmarks (strategy DD-construct)\n" +
+			"all times in seconds; gate-level columns use the Beauregard 2n+3-qubit circuit,\n" +
+			"DD-construct builds the oracle directly on n+1 qubits",
+		Columns: cols(Both, "benchmark", "qubits_gate", "t_sota", "t_general", "t_dd_construct", "qubits_construct", "best_general"),
+	}
+	// A gate-level column that timed out reports the budget as a lower
+	// bound, the paper's ">7200.00".
+	paper := func(m Measurement) Cell {
+		if m.TimedOut {
+			return Cell{V: budget, Unit: AtLeast}
+		}
+		return secs(m)
+	}
+	for i, inst := range instances {
+		n := bits.Len64(inst.N)
+		g, name := bestGeneral(arms[1:], ms[i][1:])
+		t.Rows = append(t.Rows, []Cell{
+			label(ShorWorkload(inst.N, inst.A).Name), count(2*n + 3), paper(ms[i][0]), paper(g),
+			{V: construct[i], Unit: Seconds}, count(n + 1), label(name),
+		})
+	}
+	return t
 }
 
 // --- Fig. 5 / Example 3: DD size traces ----------------------------------
 
-// TraceResult contrasts the DD sizes processed when following Eq. 1
-// (pure matrix-vector) against combining pairs of operations first
-// (Eq. 2 locally), on a supremacy slice — the quantitative version of
-// the paper's Fig. 5 illustration.
-type TraceResult struct {
-	Workload string
-	// Per applied operation: sizes of the operation DD and the state DD.
-	Seq      []core.TracePoint
-	Combined []core.TracePoint
-	// Total multiplication recursions (the actual work metric).
-	SeqRecursions      uint64
-	CombinedRecursions uint64
-}
-
-// Fig5 records the size traces.
-func Fig5(cfg Config) (*TraceResult, error) {
+// Fig5 contrasts the DD sizes processed when following Eq. 1 (pure
+// matrix-vector) against combining operations first (Eq. 2 locally), on
+// a supremacy slice — the quantitative version of the paper's Fig. 5
+// illustration. The traced runs use no budget, so they run outside Time.
+func Fig5(Config) ([]*Table, error) {
 	c := supremacy.Circuit(4, 4, 14, 7)
 	seq, err := core.Run(c, core.Options{Strategy: core.Sequential{}, RecordTrace: true})
 	if err != nil {
@@ -385,32 +319,51 @@ func Fig5(cfg Config) (*TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TraceResult{
-		Workload:           c.Name,
-		Seq:                seq.Trace,
-		Combined:           comb.Trace,
-		SeqRecursions:      seq.Stats.MulRecursions + seq.Stats.AddRecursions,
-		CombinedRecursions: comb.Stats.MulRecursions + comb.Stats.AddRecursions,
-	}, nil
-}
-
-func bitLen(v uint64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
+	seqRec := seq.Stats.MulRecursions + seq.Stats.AddRecursions
+	combRec := comb.Stats.MulRecursions + comb.Stats.AddRecursions
+	sampled := &Table{
+		Title: fmt.Sprintf("Fig. 5 / Example 3: op and state nodes along Eq. 1 vs. combining operations (%s)\n"+
+			"sequential (Eq. 1): one matrix-vector multiplication per gate;\n"+
+			"combined (k-operations, k=4): gates multiplied together first", c.Name),
+		Columns: cols(TextOnly, "scheme", "gate_index", "op_nodes", "state_nodes"),
+		Footer: fmt.Sprintf("total multiplication/addition recursions (work metric):\n"+
+			"  sequential: %d\n  combined:   %d  (%.2fx less work)\n",
+			seqRec, combRec, float64(seqRec)/float64(combRec)),
 	}
-	return n
+	for _, tr := range []scheme{{"sequential", seq.Trace}, {"combined", comb.Trace}} {
+		for _, tp := range sampleTrace(tr.points, 20) {
+			sampled.Rows = append(sampled.Rows, []Cell{label(tr.name), count(tp.GateIndex), count(tp.OpSize), count(tp.StateSize)})
+		}
+	}
+	return []*Table{sampled, traceTable(seq.Trace, comb.Trace)}, nil
 }
 
-// AdaptiveParams are the ratio values (×100, to keep the integer sweep
-// machinery) swept for the adaptive-strategy ablation: 0.1 … 8.
-var AdaptiveParams = []int{10, 25, 50, 100, 200, 400, 800}
+// scheme is one traced run of Fig. 5.
+type scheme struct {
+	name   string
+	points []core.TracePoint
+}
 
-// AdaptiveSweep runs the fig-8/9-style sweep for the adaptive strategy
-// (an extension beyond the paper; see DESIGN.md ablations).
-func AdaptiveSweep(cfg Config) (*SweepResult, error) {
-	return sweep(cfg, "Adaptive-strategy sweep: speed-up vs. op/state size ratio (×100)", "ratio×100",
-		AdaptiveParams, func(p int) core.Strategy { return core.Adaptive{Ratio: float64(p) / 100} },
-		FigWorkloads(cfg.Full))
+// traceTable is the full Fig. 5 trace (CSV only), one row per applied
+// operation with its scheme.
+func traceTable(seq, comb []core.TracePoint) *Table {
+	t := &Table{Columns: cols(CSVOnly, "scheme", "gate_index", "op_nodes", "state_nodes", "combined")}
+	for _, tr := range []scheme{{"sequential", seq}, {"combined", comb}} {
+		for _, tp := range tr.points {
+			t.Rows = append(t.Rows, []Cell{label(tr.name), count(tp.GateIndex), count(tp.OpSize), count(tp.StateSize), count(tp.Combined)})
+		}
+	}
+	return t
+}
+
+// sampleTrace thins a trace to at most n evenly spaced points.
+func sampleTrace(tr []core.TracePoint, n int) []core.TracePoint {
+	if len(tr) <= n {
+		return tr
+	}
+	out := make([]core.TracePoint, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, tr[i*len(tr)/n])
+	}
+	return out
 }

@@ -1,18 +1,14 @@
 package bench
 
 import (
-	"errors"
-	"fmt"
-	"strings"
-	"time"
+	"math"
 
 	"repro/internal/core"
-	"repro/internal/dd"
 )
 
 // The identity experiment measures the identity-aware multiplication
-// kernels directly: every workload×strategy cell runs twice on fresh
-// engines — once with the identity short-circuits disabled
+// kernels directly: every workload×strategy cell runs twice — once
+// with the identity short-circuits disabled
 // (core.Options.DisableIdentitySkip) and once with them on — and
 // reports the MulRecursions and wall-time deltas. The paper's
 // combination strategies build accumulated operation matrices that are
@@ -21,168 +17,60 @@ import (
 // k-operations / max-size / DD-repeating (where the accumulated and
 // repeated matrices are).
 
-// IdentityRow is one workload×strategy cell of the identity sweep.
-type IdentityRow struct {
-	Workload string
-	Strategy string
-
-	// SecondsOff/On are the wall times without and with the identity
-	// short-circuits; MulRecursionsOff/On the kernel recursion counts.
-	SecondsOff float64
-	SecondsOn  float64
-	MarkOff    string
-	MarkOn     string
-
-	MulRecursionsOff uint64
-	MulRecursionsOn  uint64
-	// IdentitySkips and IdentitySkipLevels are taken from the "on" run:
-	// short-circuits hit and recursion levels avoided.
-	IdentitySkips      uint64
-	IdentitySkipLevels uint64
-}
-
-// RecursionRatio returns MulRecursionsOn/MulRecursionsOff (1 when the
-// off run did not recurse).
-func (r IdentityRow) RecursionRatio() float64 {
-	if r.MulRecursionsOff == 0 {
-		return 1
-	}
-	return float64(r.MulRecursionsOn) / float64(r.MulRecursionsOff)
-}
-
-// identityStrategies are the strategy columns of the identity sweep:
-// the sequential baseline, both combination families, and Grover's
-// DD-repeating combined-operator case.
-type identityStrategy struct {
-	name      string
-	strategy  core.Strategy
-	useBlocks bool
-}
-
-func identityStrategies() []identityStrategy {
-	return []identityStrategy{
-		{name: "sequential", strategy: core.Sequential{}},
-		{name: "k-operations (k=4)", strategy: core.KOperations{K: 4}},
-		{name: "max-size (s=128)", strategy: core.MaxSize{SMax: 128}},
-		{name: "DD-repeating", strategy: core.Sequential{}, useBlocks: true},
-	}
-}
-
 // IdentitySweep runs the before/after comparison over the Grover and
 // QFT workloads (two of the paper's benchmark families with very
 // different DD profiles: Grover's combined operator is dense below the
 // oracle, QFT's controlled phases are nearly diagonal).
-func IdentitySweep(cfg Config) ([]IdentityRow, error) {
-	ws := []Workload{
-		GroverWorkload(14),
-		QFTWorkload(16),
+func IdentitySweep(cfg Config) ([]*Table, error) {
+	return identitySweep(cfg, []Workload{GroverWorkload(14), QFTWorkload(16)})
+}
+
+func identitySweep(cfg Config, ws []Workload) ([]*Table, error) {
+	strategies := []arm{
+		{"sequential", core.Options{Strategy: core.Sequential{}}},
+		{"k-operations (k=4)", core.Options{Strategy: core.KOperations{K: 4}}},
+		{"max-size (s=128)", core.Options{Strategy: core.MaxSize{SMax: 128}}},
+		{"DD-repeating", core.Options{Strategy: core.Sequential{}, UseBlocks: true}},
 	}
-	var rows []IdentityRow
-	for _, w := range ws {
-		for _, is := range identityStrategies() {
-			row := IdentityRow{Workload: w.Name, Strategy: is.name}
-			for _, disable := range []bool{true, false} {
-				secs, stats, mark, err := identityCell(w, is, disable, cfg)
-				if err != nil {
-					return nil, err
-				}
-				if disable {
-					row.SecondsOff, row.MarkOff = secs, mark
-					row.MulRecursionsOff = stats.MulRecursions
-				} else {
-					row.SecondsOn, row.MarkOn = secs, mark
-					row.MulRecursionsOn = stats.MulRecursions
-					row.IdentitySkips = stats.IdentitySkipsMV + stats.IdentitySkipsMM
-					row.IdentitySkipLevels = stats.IdentitySkipLevels
+	var arms []arm // each strategy with the skips off, then on
+	for _, a := range strategies {
+		off := a
+		off.opt.DisableIdentitySkip = true
+		arms = append(arms, off, a)
+	}
+	ms, err := measureGrid(cfg, ws, arms)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title: "Identity-aware kernels: multiplication recursions and wall time with the\n" +
+			"identity short-circuits off vs. on (same circuits, same strategies; results\n" +
+			"are pointer-identical either way — only the work to reach them changes)",
+		Columns: cols(Both, "workload", "strategy", "seconds_off", "seconds_on", "mark_off", "mark_on",
+			"mul_recursions_off", "mul_recursions_on", "recursion_ratio",
+			"identity_skips", "identity_skip_levels"),
+	}
+	for wi, w := range ws {
+		for si, a := range strategies {
+			off, on := ms[wi][2*si], ms[wi][2*si+1]
+			recOff, recOn := off.Stats.MulRecursions, on.Stats.MulRecursions
+			ratio := math.NaN()
+			if off.Mark() == "" && on.Mark() == "" {
+				ratio = 1
+				if recOff > 0 {
+					ratio = float64(recOn) / float64(recOff)
 				}
 			}
-			rows = append(rows, row)
+			t.Rows = append(t.Rows, []Cell{
+				label(w.Name), label(a.label),
+				{V: off.Seconds, Unit: Seconds}, {V: on.Seconds, Unit: Seconds},
+				label(off.Mark()), label(on.Mark()),
+				counted(off, float64(recOff), Count), counted(on, float64(recOn), Count),
+				{V: ratio, Unit: Ratio},
+				counted(on, float64(on.Stats.IdentitySkipsMV+on.Stats.IdentitySkipsMM), Count),
+				counted(on, float64(on.Stats.IdentitySkipLevels), Count),
+			})
 		}
 	}
-	return rows, nil
-}
-
-// identityCell times one configuration on a fresh engine; reps > 1 keep
-// the fastest wall time (the counters are deterministic, so any rep's
-// snapshot reports them).
-func identityCell(w Workload, is identityStrategy, disable bool, cfg Config) (float64, dd.Stats, string, error) {
-	best := 0.0
-	var stats dd.Stats
-	for rep := 0; rep < cfg.reps(); rep++ {
-		e := dd.New()
-		opt := core.Options{
-			Strategy:            is.strategy,
-			UseBlocks:           is.useBlocks,
-			Engine:              e,
-			MaxNodes:            cfg.MaxNodes,
-			DisableIdentitySkip: disable,
-			Metrics:             cfg.Metrics,
-		}
-		if cfg.Budget > 0 {
-			opt.Deadline = time.Now().Add(cfg.Budget)
-		}
-		start := time.Now()
-		err := w.Run(opt)
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			switch {
-			case errors.Is(err, core.ErrDeadlineExceeded):
-				return elapsed, e.Stats(), "timeout", nil
-			case errors.Is(err, core.ErrBudgetExceeded):
-				return elapsed, e.Stats(), "oom", nil
-			}
-			return 0, dd.Stats{}, "", fmt.Errorf("bench: identity: %s/%s: %w", w.Name, is.name, err)
-		}
-		if rep == 0 || elapsed < best {
-			best = elapsed
-		}
-		stats = e.Stats()
-	}
-	return best, stats, "", nil
-}
-
-// RenderIdentity renders the before/after table.
-func RenderIdentity(rows []IdentityRow) string {
-	var sb strings.Builder
-	sb.WriteString("Identity-aware kernels: multiplication recursions and wall time with the\n")
-	sb.WriteString("identity short-circuits off vs. on (same circuits, same strategies; results\n")
-	sb.WriteString("are pointer-identical either way — only the work to reach them changes)\n\n")
-	fmt.Fprintf(&sb, "%-10s %-18s %14s %14s %6s %10s %10s %7s %12s\n",
-		"Benchmark", "Strategy", "mul-rec off", "mul-rec on", "ratio",
-		"t-off", "t-on", "dt", "id-skips")
-	for _, r := range rows {
-		off, on := fmtCellSeconds(r.SecondsOff, r.MarkOff), fmtCellSeconds(r.SecondsOn, r.MarkOn)
-		dt := "-"
-		if r.MarkOff == "" && r.MarkOn == "" && r.SecondsOff > 0 {
-			dt = fmt.Sprintf("%+.0f%%", 100*(r.SecondsOn-r.SecondsOff)/r.SecondsOff)
-		}
-		fmt.Fprintf(&sb, "%-10s %-18s %14d %14d %6.2f %10s %10s %7s %12d\n",
-			r.Workload, r.Strategy, r.MulRecursionsOff, r.MulRecursionsOn,
-			r.RecursionRatio(), off, on, dt, r.IdentitySkips)
-	}
-	return sb.String()
-}
-
-func fmtCellSeconds(s float64, mark string) string {
-	if mark != "" {
-		return mark
-	}
-	return fmt.Sprintf("%.3fs", s)
-}
-
-// IdentityCSV renders the sweep as CSV.
-func IdentityCSV(rows []IdentityRow) string {
-	var sb strings.Builder
-	sb.WriteString("workload,strategy,seconds_off,seconds_on,mark_off,mark_on," +
-		"mul_recursions_off,mul_recursions_on,recursion_ratio," +
-		"identity_skips,identity_skip_levels\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%s,%s,%s,%s,%s,%d,%d,%s,%d,%d\n",
-			csvEscape(r.Workload), csvEscape(r.Strategy),
-			csvFloat(r.SecondsOff), csvFloat(r.SecondsOn),
-			r.MarkOff, r.MarkOn,
-			r.MulRecursionsOff, r.MulRecursionsOn, csvFloat(r.RecursionRatio()),
-			r.IdentitySkips, r.IdentitySkipLevels)
-	}
-	return sb.String()
+	return []*Table{t}, nil
 }

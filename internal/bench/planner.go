@@ -1,226 +1,119 @@
 package bench
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 )
 
-// The planner experiment answers the question ROADMAP item 4 poses: can
-// the cost-model-driven planner (core.Planner) match the best fixed
-// strategy per circuit family without being told which one that is?
-// Every workload of the Fig. 8/9 mix runs under every fixed strategy
-// and under the planner with default knobs; the planner's time is
-// compared per workload against the best and worst fixed cell.
-
-// PlannerCell is one workload×strategy measurement of the planner
-// sweep.
-type PlannerCell struct {
-	Workload string
-	Strategy string
-	// Planner marks the planner column (the comparison target).
-	Planner bool
-	Seconds float64
-	Mark    string // "", "timeout", "oom", "canceled", "error"
-}
-
-// PlannerSummary compares the planner against the fixed strategies on
-// one workload.
-type PlannerSummary struct {
-	Workload string
-	// PlannerSeconds is the planner cell's time (math.Inf(1) when the
-	// planner cell did not finish; Mark says why).
-	PlannerSeconds float64
-	PlannerMark    string
-	// Best/Worst are the fastest and slowest fixed strategies. A fixed
-	// cell that did not finish scores its elapsed wall time (for
-	// timeouts, the full budget) — a lower bound on its true cost.
-	BestStrategy  string
-	BestSeconds   float64
-	WorstStrategy string
-	WorstSeconds  float64
-}
-
-// VsBest returns planner/best (how far the planner is from the best
-// fixed strategy; 1.0 = matched it, lower = beat it).
-func (s PlannerSummary) VsBest() float64 {
-	if s.BestSeconds <= 0 {
-		return 1
-	}
-	return s.PlannerSeconds / s.BestSeconds
-}
-
-// WorstVsPlanner returns worst/planner (how much the worst fixed
-// strategy loses to the planner).
-func (s PlannerSummary) WorstVsPlanner() float64 {
-	if s.PlannerSeconds <= 0 {
-		return math.Inf(1)
-	}
-	return s.WorstSeconds / s.PlannerSeconds
-}
-
-// PlannerResult is the full sweep plus its per-workload summaries.
-type PlannerResult struct {
-	Cells     []PlannerCell
-	Summaries []PlannerSummary
-}
-
-// plannerStrategies are the fixed-strategy columns the planner is
-// judged against — every strategy family at its default
-// parameterisation, including the deliberately bad combine-all
-// extreme.
-func plannerStrategies() []identityStrategy {
-	return []identityStrategy{
-		{name: "sequential", strategy: core.Sequential{}},
-		{name: "k-operations (k=4)", strategy: core.KOperations{K: 4}},
-		{name: "max-size (s=128)", strategy: core.MaxSize{SMax: 128}},
-		{name: "adaptive (r=1)", strategy: core.Adaptive{Ratio: 1}},
-		{name: "combine-all", strategy: core.CombineAll{}},
-	}
-}
+// The planner experiment asks whether the cost-model-driven planner
+// (core.Planner) matches the best fixed strategy per circuit family
+// without being told which one that is. Every workload of the Fig. 8/9
+// mix runs under every fixed strategy and under the planner with
+// default knobs; the planner's time is compared per workload against
+// the best and worst fixed cell.
 
 // PlannerSweep measures every Fig. 8/9 workload under every fixed
-// strategy and under the planner, serially on fresh engines.
-//
-// Repetitions are interleaved rep-major (every cell once, then every
-// cell again) instead of cell-major (all reps of one cell back to
-// back). The sweep's verdict is a ratio between cells, and machine
-// load drifts on the scale of whole cells: run cell-major, a slow
-// epoch lands entirely inside whichever cell owns that wall-clock
-// span and its minimum is poisoned across all its reps at once.
-// Interleaved, a slow epoch taxes one rep of many cells, and every
-// cell keeps reps from the quiet epochs — the per-cell minima are
-// taken under matched conditions. Within a rep the planner cell runs
-// first: combine-all (always in the fixed set, frequently a timeout)
-// retires with a multi-GB heap whose allocator residue slows whatever
-// follows, and the comparison target must not systematically inherit
-// it. Cells that die (timeout/oom) are not retried on later reps —
-// re-running them would re-pay the full budget per rep for a cell
-// whose verdict cannot change.
-func PlannerSweep(cfg Config) (*PlannerResult, error) {
-	ws := FigWorkloads(cfg.Full)
-	res := &PlannerResult{}
+// strategy and under the planner.
+func PlannerSweep(cfg Config) ([]*Table, error) {
+	return plannerSweep(cfg, FigWorkloads(cfg.Full))
+}
+
+// plannerSweep interleaves repetitions rep-major (every cell once, then
+// every cell again) instead of cell-major (all reps of one cell back to
+// back). The verdict is a ratio between cells, and machine load drifts
+// on the scale of whole cells: run cell-major, a slow epoch lands
+// entirely inside whichever cell owns that wall-clock span and its
+// minimum is poisoned across all its reps at once. Interleaved, a slow
+// epoch taxes one rep of many cells, and every cell keeps reps from the
+// quiet epochs — the per-cell minima are taken under matched
+// conditions. Within a rep each workload's planner cell runs first:
+// combine-all (always in the fixed set, frequently a timeout) retires
+// with a multi-GB heap whose allocator residue slows whatever follows,
+// and the comparison target must not systematically inherit it. Cells
+// that die (timeout/oom) are not retried on later reps — re-running
+// them would re-pay the full budget per rep for a cell whose verdict
+// cannot change.
+func plannerSweep(cfg Config, ws []Workload) ([]*Table, error) {
 	if len(ws) > 0 {
 		// One small untimed run before any timed cell: process warm-up
 		// (code paging, the heap's first growth) must not be billed to
 		// whichever cell happens to run first.
 		_ = GroverWorkload(10).Run(core.Options{Strategy: core.Sequential{}})
 	}
-	fixed := plannerStrategies()
-	// slot [workload][column]: column 0 is the planner, 1.. the fixed
-	// strategies. Each slot keeps the minimum over its clean reps.
-	type slot struct {
-		m   Measurement
-		set bool
-	}
-	cells := make([][]slot, len(ws))
-	for i := range cells {
-		cells[i] = make([]slot, 1+len(fixed))
+	arms := []arm{
+		{"planner", core.Options{Strategy: &core.Planner{}}},
+		{"sequential", core.Options{Strategy: core.Sequential{}}},
+		{"k-operations (k=4)", core.Options{Strategy: core.KOperations{K: 4}}},
+		{"max-size (s=128)", core.Options{Strategy: core.MaxSize{SMax: 128}}},
+		{"adaptive (r=1)", core.Options{Strategy: core.Adaptive{Ratio: 1}}},
+		{"combine-all", core.Options{Strategy: core.CombineAll{}}},
 	}
 	oneRep := cfg
 	oneRep.Reps = 1
+	best := make([]Measurement, len(ws)*len(arms))
 	for rep := 0; rep < cfg.reps(); rep++ {
-		for wi, w := range ws {
-			for col := 0; col <= len(fixed); col++ {
-				s := &cells[wi][col]
-				if s.set && s.m.Mark() != "" {
-					continue
-				}
-				var st core.Strategy = &core.Planner{}
-				name := "planner"
-				if col > 0 {
-					st, name = fixed[col-1].strategy, fixed[col-1].name
-				}
-				m := Time(w, core.Options{Strategy: st, Metrics: cfg.Metrics}, oneRep)
-				if m.Err != nil && m.Mark() == "error" {
-					return nil, fmt.Errorf("bench: planner sweep: %s/%s: %w", w.Name, name, m.Err)
-				}
-				if !s.set || (m.Mark() == "" && m.Seconds < s.m.Seconds) {
-					s.m = m
-				}
-				s.set = true
+		ms, err := runCells(oneRep, len(best), func(i int, cfg Config) Measurement {
+			if rep > 0 && best[i].Mark() != "" {
+				return best[i]
+			}
+			return Time(ws[i/len(arms)], arms[i%len(arms)].opt, cfg)
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range ms {
+			if rep == 0 || (m.Mark() == "" && m.Seconds < best[i].Seconds) {
+				best[i] = m
 			}
 		}
+	}
+
+	cells := &Table{
+		Title: "Adaptive strategy planner vs. every fixed strategy (fresh engine per cell;\n" +
+			"planner knobs at defaults — it is told nothing about the circuit family)",
+		Columns: cols(Both, "workload", "strategy", "planner", "seconds", "mark"),
+	}
+	verdict := &Table{
+		Title: "Per-benchmark verdict (planner/best <= 1.10 everywhere and worst/planner >= 2\n" +
+			"somewhere is the planner pulling its weight)",
+		Columns: cols(TextOnly, "workload", "planner", "best_fixed", "t_best", "worst_fixed", "planner/best", "worst/planner"),
 	}
 	for wi, w := range ws {
-		sum := PlannerSummary{Workload: w.Name, BestSeconds: math.Inf(1)}
-		for col, is := range fixed {
-			m := cells[wi][col+1].m
-			secs := effectiveSeconds(m, cfg)
-			res.Cells = append(res.Cells, PlannerCell{
-				Workload: w.Name, Strategy: is.name, Seconds: m.Seconds, Mark: m.Mark(),
-			})
-			// Marked cells never win "best": they did not finish.
-			if m.Mark() == "" && secs < sum.BestSeconds {
-				sum.BestSeconds, sum.BestStrategy = secs, is.name
+		row := best[wi*len(arms) : (wi+1)*len(arms)]
+		cell := func(ai int) []Cell {
+			m := row[ai]
+			return []Cell{label(w.Name), label(arms[ai].label), label(strconv.FormatBool(ai == 0)),
+				{V: m.Seconds, Unit: Seconds}, label(m.Mark())}
+		}
+		// A fixed cell that did not finish scores the larger of its
+		// elapsed time and the budget — a lower bound on its true cost —
+		// and never wins "best".
+		bestS, worstS := math.Inf(1), 0.0
+		var bestName, worstName string
+		for ai := 1; ai < len(arms); ai++ {
+			cells.Rows = append(cells.Rows, cell(ai))
+			m, s := row[ai], row[ai].Seconds
+			if m.Mark() != "" {
+				s = math.Max(s, cfg.Budget.Seconds())
+			} else if s < bestS {
+				bestS, bestName = s, arms[ai].label
 			}
-			if secs > sum.WorstSeconds {
-				sum.WorstSeconds, sum.WorstStrategy = secs, is.name
+			if s > worstS {
+				worstS, worstName = s, arms[ai].label
 			}
 		}
-		pm := cells[wi][0].m
-		res.Cells = append(res.Cells, PlannerCell{
-			Workload: w.Name, Strategy: "planner", Planner: true,
-			Seconds: pm.Seconds, Mark: pm.Mark(),
+		cells.Rows = append(cells.Rows, cell(0))
+		p := row[0]
+		pS := p.Seconds
+		if p.Mark() != "" {
+			pS = math.Inf(1)
+		}
+		verdict.Rows = append(verdict.Rows, []Cell{
+			label(w.Name), secs(p), label(bestName), {V: bestS, Unit: Seconds}, label(worstName),
+			{V: pS / bestS, Unit: Ratio}, {V: worstS / pS, Unit: Ratio},
 		})
-		sum.PlannerMark = pm.Mark()
-		sum.PlannerSeconds = pm.Seconds
-		if sum.PlannerMark != "" {
-			sum.PlannerSeconds = math.Inf(1)
-		}
-		res.Summaries = append(res.Summaries, sum)
 	}
-	return res, nil
-}
-
-// effectiveSeconds scores a measurement for best/worst comparison: a
-// clean run scores its wall time; a run that died scores the larger of
-// its elapsed time and the budget — a lower bound on what it would
-// have cost.
-func effectiveSeconds(m Measurement, cfg Config) float64 {
-	if m.Mark() == "" {
-		return m.Seconds
-	}
-	return math.Max(m.Seconds, cfg.Budget.Seconds())
-}
-
-// RenderPlanner renders the sweep table and the per-workload verdict
-// lines.
-func RenderPlanner(r *PlannerResult) string {
-	var sb strings.Builder
-	sb.WriteString("Adaptive strategy planner vs. every fixed strategy (fresh engine per cell;\n")
-	sb.WriteString("planner knobs at defaults — it is told nothing about the circuit family)\n\n")
-	fmt.Fprintf(&sb, "%-18s %-20s %10s\n", "Benchmark", "Strategy", "time")
-	last := ""
-	for _, c := range r.Cells {
-		if c.Workload != last && last != "" {
-			sb.WriteString("\n")
-		}
-		last = c.Workload
-		fmt.Fprintf(&sb, "%-18s %-20s %10s\n", c.Workload, c.Strategy, fmtCellSeconds(c.Seconds, c.Mark))
-	}
-	sb.WriteString("\nPer-benchmark verdict (planner/best <= 1.10 everywhere and worst/planner >= 2\n")
-	sb.WriteString("somewhere is the planner pulling its weight):\n\n")
-	fmt.Fprintf(&sb, "%-18s %10s %-20s %10s %-20s %12s %14s\n",
-		"Benchmark", "planner", "best fixed", "t-best", "worst fixed", "planner/best", "worst/planner")
-	for _, s := range r.Summaries {
-		planner := fmtCellSeconds(s.PlannerSeconds, s.PlannerMark)
-		fmt.Fprintf(&sb, "%-18s %10s %-20s %10s %-20s %12.2f %14.1f\n",
-			s.Workload, planner, s.BestStrategy, fmtCellSeconds(s.BestSeconds, ""),
-			s.WorstStrategy, s.VsBest(), s.WorstVsPlanner())
-	}
-	return sb.String()
-}
-
-// PlannerCSV renders the sweep cells as CSV.
-func PlannerCSV(r *PlannerResult) string {
-	var sb strings.Builder
-	sb.WriteString("workload,strategy,planner,seconds,mark\n")
-	for _, c := range r.Cells {
-		fmt.Fprintf(&sb, "%s,%s,%t,%s,%s\n",
-			csvEscape(c.Workload), csvEscape(c.Strategy), c.Planner, csvFloat(c.Seconds), c.Mark)
-	}
-	return sb.String()
+	return []*Table{cells, verdict}, nil
 }

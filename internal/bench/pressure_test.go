@@ -70,24 +70,20 @@ func TestTimeDegradedCell(t *testing.T) {
 // and the degradations/fidelity_bound columns; untouched cells leave
 // the bound column empty rather than printing a misleading 0.
 func TestMetricsCSVDegradedCell(t *testing.T) {
-	r := &SweepResult{
-		Names:        []string{"w"},
-		Params:       []int{4},
-		Baseline:     []float64{1},
-		Speedups:     [][]float64{{1.5}},
-		Marks:        [][]string{{"degraded(f≥0.98)"}},
-		BaselineMark: []string{""},
-		Cells: [][]CellMetrics{{{
-			Valid: true, Seconds: 0.5, Degradations: 3, FidelityBound: 0.98,
-		}}},
-		BaselineCells: []CellMetrics{{Valid: true, Seconds: 1}},
-	}
-	csv := r.MetricsCSV()
-	if !strings.HasPrefix(csv, metricsCSVHeader) {
+	const header = "workload,param,seconds,mark," +
+		"matvec_muls,matmat_muls,mul_recursions,identity_skips_mv,identity_skips_mm," +
+		"cache_lookups,cache_hits,cache_hit_rate," +
+		"nodes_created,gcs,gc_pause_seconds,peak_nodes,fallbacks,state_nodes," +
+		"degradations,fidelity_bound\n"
+	arms := []arm{{label: "baseline"}, {label: "4"}}
+	ms := [][]Measurement{{
+		{Seconds: 1, Cell: CellMetrics{Valid: true, Seconds: 1}},
+		{Seconds: 0.5, Degraded: true, FidelityBound: 0.98,
+			Cell: CellMetrics{Valid: true, Seconds: 0.5, Degradations: 3, FidelityBound: 0.98}},
+	}}
+	csv := metricsTable([]Workload{{Name: "w"}}, arms, ms).CSV()
+	if !strings.HasPrefix(csv, header) {
 		t.Fatalf("csv header mismatch:\n%s", csv)
-	}
-	if !strings.HasSuffix(metricsCSVHeader, "degradations,fidelity_bound\n") {
-		t.Fatalf("header does not end with the governor columns: %q", metricsCSVHeader)
 	}
 	lines := strings.Split(strings.TrimSuffix(csv, "\n"), "\n")
 	if len(lines) != 3 {

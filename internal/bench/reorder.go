@@ -1,55 +1,23 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	"strings"
-	"time"
+	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/dd"
-	"repro/internal/grover"
-	"repro/internal/qft"
 	"repro/internal/shor"
-	"repro/internal/supremacy"
 )
 
 // The reorder experiment measures what variable order is worth: every
-// workload runs three times on fresh engines — fixed identity order
-// ("off"), the static interaction-graph order derived before the run
-// ("static"), and dynamic sifting ("sifting") — and reports the peak
-// state-DD size along the run, the final size, wall time, and the swap
-// work the dynamic mode spent. The cross-register entangler is the
-// canonical order-sensitive workload (identity order pays 2^(n/2)
-// nodes for a state an interleaved order represents in O(n)); the
-// paper's benchmark families show how much of that sensitivity real
-// circuits retain.
-
-// ReorderRow is one workload×mode cell of the reorder sweep.
-type ReorderRow struct {
-	Workload string
-	Mode     string // off | static | sifting
-
-	Seconds float64
-	Mark    string // "", "timeout", "oom"
-
-	// PeakNodes is the largest state-DD size along the run's trace;
-	// FinalNodes the state size at the end.
-	PeakNodes  int
-	FinalNodes int
-
-	// Swaps and SiftPasses are the dynamic-reordering work (zero for
-	// off/static).
-	Swaps      uint64
-	SiftPasses uint64
-}
-
-// reorderCircuit pairs a named circuit with the sweep.
-type reorderCircuit struct {
-	name string
-	c    *circuit.Circuit
-}
+// workload runs under fixed identity order ("off"), the static
+// interaction-graph order derived before the run ("static"), and
+// dynamic sifting ("sifting"), and reports the peak state-DD size along
+// the run, the final size, wall time, and the swap work the dynamic
+// mode spent. The cross-register entangler is the canonical
+// order-sensitive workload (identity order pays 2^(n/2) nodes for a
+// state an interleaved order represents in O(n)); the paper's benchmark
+// families show how much of that sensitivity real circuits retain.
 
 // crossEntangler builds the cross-register Bell pairer: H(i) then
 // CX(i, i+n/2) for each i < n/2.
@@ -64,9 +32,10 @@ func crossEntangler(n int) *circuit.Circuit {
 	return c
 }
 
-func reorderCircuits(full bool) ([]reorderCircuit, error) {
+// ReorderSweep runs every workload under each reordering mode.
+func ReorderSweep(cfg Config) ([]*Table, error) {
 	groverN, qftN := 12, 14
-	if full {
+	if cfg.Full {
 		groverN, qftN = 14, 16
 	}
 	shorC, _, err := shor.ControlledUaCircuit(15, 7)
@@ -74,119 +43,51 @@ func reorderCircuits(full bool) ([]reorderCircuit, error) {
 		return nil, fmt.Errorf("bench: reorder: %w", err)
 	}
 	shorC.Name = "shor_15_7_ua"
-	return []reorderCircuit{
-		{fmt.Sprintf("grover_%d", groverN), grover.Circuit(groverN, uint64(0x5a5a)&((1<<uint(groverN))-1), 0)},
-		{fmt.Sprintf("qft_%d", qftN), qft.Circuit(qftN, true)},
-		{"shor_15_7_ua", shorC},
-		{"supremacy_12_16", supremacy.Circuit(4, 4, 12, 7)},
-		{"cross_24", crossEntangler(24)},
-	}, nil
+	return reorderSweep(cfg, []Workload{
+		GroverWorkload(groverN),
+		QFTWorkload(qftN),
+		circuitWorkload(shorC),
+		SupremacyWorkload(4, 4, 12, 7),
+		circuitWorkload(crossEntangler(24)),
+	})
 }
 
-// ReorderSweep runs every workload under each reordering mode.
-func ReorderSweep(cfg Config) ([]ReorderRow, error) {
-	circuits, err := reorderCircuits(cfg.Full)
+// reorderSweep lays the sweep out one block per workload with the off
+// row first, so the text-only reduction column reads as "peak relative
+// to fixed order".
+func reorderSweep(cfg Config, ws []Workload) ([]*Table, error) {
+	var arms []arm
+	for _, mode := range []string{"off", "static", "sifting"} {
+		arms = append(arms, arm{mode, core.Options{Reorder: mode}})
+	}
+	ms, err := measureGrid(cfg, ws, arms)
 	if err != nil {
 		return nil, err
 	}
-	var rows []ReorderRow
-	for _, rc := range circuits {
-		for _, mode := range []string{"off", "static", "sifting"} {
-			row, err := reorderCell(rc, mode, cfg)
-			if err != nil {
-				return nil, err
+	t := &Table{
+		Title: "Variable reordering: peak and final state-DD sizes under fixed order\n" +
+			"(off), the static interaction-graph order (static), and dynamic sifting\n" +
+			"(sifting); reduction is peak(off)/peak(mode)",
+		Columns: append(append(
+			cols(Both, "workload", "mode", "seconds", "mark", "peak_nodes", "final_nodes"),
+			Column{Name: "reduction", In: TextOnly}),
+			cols(Both, "swaps", "sift_passes")...),
+	}
+	for wi, w := range ws {
+		off := ms[wi][0]
+		for ai, a := range arms {
+			m := ms[wi][ai]
+			red := math.NaN()
+			if ai > 0 && off.Mark() == "" && m.Mark() == "" && m.Cell.PeakStateNodes > 0 {
+				red = float64(off.Cell.PeakStateNodes) / float64(m.Cell.PeakStateNodes)
 			}
-			rows = append(rows, row)
+			t.Rows = append(t.Rows, []Cell{
+				label(w.Name), label(a.label), {V: m.Seconds, Unit: Seconds}, label(m.Mark()),
+				counted(m, float64(m.Cell.PeakStateNodes), Count), counted(m, float64(m.Cell.StateNodes), Count),
+				{V: red, Unit: Ratio},
+				counted(m, float64(m.Stats.ReorderSwaps), Count), counted(m, float64(m.Stats.SiftPasses), Count),
+			})
 		}
 	}
-	return rows, nil
-}
-
-// reorderCell times one circuit×mode configuration on a fresh engine;
-// reps > 1 keep the fastest wall time (peaks and swap counts are
-// deterministic, so any rep's snapshot reports them).
-func reorderCell(rc reorderCircuit, mode string, cfg Config) (ReorderRow, error) {
-	row := ReorderRow{Workload: rc.name, Mode: mode}
-	for rep := 0; rep < cfg.reps(); rep++ {
-		e := dd.New()
-		opt := core.Options{
-			Engine:      e,
-			Reorder:     mode,
-			RecordTrace: true,
-			MaxNodes:    cfg.MaxNodes,
-			Metrics:     cfg.Metrics,
-			EventSink:   cfg.Events,
-		}
-		if cfg.Budget > 0 {
-			opt.Deadline = time.Now().Add(cfg.Budget)
-		}
-		start := time.Now()
-		res, err := core.Run(rc.c, opt)
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			switch {
-			case errors.Is(err, core.ErrDeadlineExceeded):
-				row.Seconds, row.Mark = elapsed, "timeout"
-				return row, nil
-			case errors.Is(err, core.ErrBudgetExceeded):
-				row.Seconds, row.Mark = elapsed, "oom"
-				return row, nil
-			}
-			return row, fmt.Errorf("bench: reorder: %s/%s: %w", rc.name, mode, err)
-		}
-		if rep == 0 || elapsed < row.Seconds {
-			row.Seconds = elapsed
-		}
-		peak := 0
-		for _, tp := range res.Trace {
-			if tp.StateSize > peak {
-				peak = tp.StateSize
-			}
-		}
-		row.PeakNodes = peak
-		row.FinalNodes = res.Engine.SizeV(res.State)
-		row.Swaps = res.Stats.ReorderSwaps
-		row.SiftPasses = res.Stats.SiftPasses
-	}
-	return row, nil
-}
-
-// RenderReorder renders the sweep as a fixed-width table, one block per
-// workload with the off row first so the reduction column reads as
-// "peak relative to fixed order".
-func RenderReorder(rows []ReorderRow) string {
-	peakOff := map[string]int{}
-	for _, r := range rows {
-		if r.Mode == "off" {
-			peakOff[r.Workload] = r.PeakNodes
-		}
-	}
-	var sb strings.Builder
-	sb.WriteString("Variable reordering: peak and final state-DD sizes under fixed order\n")
-	sb.WriteString("(off), the static interaction-graph order (static), and dynamic sifting\n")
-	sb.WriteString("(sifting); reduction is peak(off)/peak(mode)\n\n")
-	fmt.Fprintf(&sb, "%-16s %-8s %10s %10s %10s %8s %7s %10s\n",
-		"Benchmark", "mode", "peak", "final", "reduction", "swaps", "passes", "time")
-	for _, r := range rows {
-		red := "-"
-		if off := peakOff[r.Workload]; r.Mode != "off" && off > 0 && r.PeakNodes > 0 && r.Mark == "" {
-			red = fmt.Sprintf("%.2fx", float64(off)/float64(r.PeakNodes))
-		}
-		fmt.Fprintf(&sb, "%-16s %-8s %10d %10d %10s %8d %7d %10s\n",
-			r.Workload, r.Mode, r.PeakNodes, r.FinalNodes, red,
-			r.Swaps, r.SiftPasses, fmtCellSeconds(r.Seconds, r.Mark))
-	}
-	return sb.String()
-}
-
-// ReorderCSV renders the sweep as CSV.
-func ReorderCSV(rows []ReorderRow) string {
-	var sb strings.Builder
-	sb.WriteString("workload,mode,seconds,mark,peak_nodes,final_nodes,swaps,sift_passes\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%s,%s,%s,%d,%d,%d,%d\n",
-			csvEscape(r.Workload), r.Mode, csvFloat(r.Seconds), r.Mark,
-			r.PeakNodes, r.FinalNodes, r.Swaps, r.SiftPasses)
-	}
-	return sb.String()
+	return []*Table{t}, nil
 }

@@ -684,7 +684,7 @@ func (r *runner) run() error {
 			return err
 		}
 	}
-	return r.maybeVerify(true)
+	return r.maybeVerify(r.next, true)
 }
 
 // step advances the run by one unit: a whole repeated block, one
@@ -717,13 +717,16 @@ func (r *runner) step(blocks map[int]circuit.Block) error {
 			return err
 		}
 	}
-	return r.boundary()
+	return r.boundary(r.next)
 }
 
 // boundary is the upkeep between steps, shared by the main loop and a
 // block's repeat loop: GC, the pressure governor, the periodic
-// checkpoint and the verification pass, in that order.
-func (r *runner) boundary() error {
+// checkpoint and the verification pass, in that order. passed is the
+// number of gates the run has passed: r.next in the main loop, the
+// repeat's applied index inside a block (where r.next only moves once
+// the block ends).
+func (r *runner) boundary(passed int) error {
 	r.maybeGC()
 	if err := r.maybeGovern(); err != nil {
 		return err
@@ -731,7 +734,7 @@ func (r *runner) boundary() error {
 	if err := r.maybeCheckpoint(); err != nil {
 		return err
 	}
-	return r.maybeVerify(false)
+	return r.maybeVerify(passed, false)
 }
 
 // absorbNext multiplies the next gate onto the accumulated operation
@@ -1044,7 +1047,7 @@ func (r *runner) runBlock(b circuit.Block) error {
 			popBlockMat()
 			return r.tryFallback(err, end)
 		}
-		if err := r.boundary(); err != nil {
+		if err := r.boundary(upTo); err != nil {
 			popBlockMat()
 			return err
 		}

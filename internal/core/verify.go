@@ -32,7 +32,7 @@ const maxRepairs = 4
 type verifier struct {
 	every    int
 	oracle   *verify.Lockstep // nil unless Paranoid
-	lastSync int              // r.next value at the last verification pass
+	lastSync int              // gates passed at the last verification pass
 
 	// Last verified snapshot, held in a private engine the simulation
 	// never touches so main-engine corruption cannot reach it.
@@ -81,18 +81,18 @@ func newVerifier(c *circuit.Circuit, opt Options) (*verifier, error) {
 	return v, nil
 }
 
-// maybeVerify runs a verification pass when the cadence is due (or
-// force is set, for the end-of-run pass). On a failed check it attempts
-// a repair; the returned error is nil when the state is verified or
-// successfully repaired.
-func (r *runner) maybeVerify(force bool) error {
+// maybeVerify runs a verification pass when the cadence is due — every
+// gates passed since the last pass — or force is set, for the
+// end-of-run pass. On a failed check it attempts a repair; the returned
+// error is nil when the state is verified or successfully repaired.
+func (r *runner) maybeVerify(passed int, force bool) error {
 	if r.ver == nil {
 		return nil
 	}
-	if !force && r.next-r.ver.lastSync < r.ver.every {
+	if !force && passed-r.ver.lastSync < r.ver.every {
 		return nil
 	}
-	r.ver.lastSync = r.next
+	r.ver.lastSync = passed
 	check, ierr, rerr := r.runChecks()
 	if rerr != nil {
 		return rerr // genuine abort (deadline/budget/cancel) mid-check

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dd"
 	"repro/internal/dense"
+	"repro/internal/grover"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -82,6 +83,54 @@ func TestVerifyCadence(t *testing.T) {
 	}
 	if res.NormDrift != 0 || res.Repairs != 0 {
 		t.Fatalf("unverified run reports drift %g repairs %d", res.NormDrift, res.Repairs)
+	}
+}
+
+// TestVerifyCadenceInsideBlocks: a DD-repeating block advances the
+// main loop's gate cursor only when the block ends, so the cadence
+// must count the gates each repeat passes. Every pass has to land at
+// most one repeat after it falls due — with and without blocks — and
+// the block run must verify about as often as the gate-at-a-time run.
+func TestVerifyCadenceInsideBlocks(t *testing.T) {
+	const every = 50
+	c := grover.Circuit(10, 0x25a, 0)
+	if len(c.Blocks) != 1 {
+		t.Fatalf("grover circuit has %d blocks, want 1", len(c.Blocks))
+	}
+	b := c.Blocks[0]
+	body := b.End - b.Start
+	passes := func(useBlocks bool) []int {
+		ring := obs.NewRing(1 << 14)
+		if _, err := Run(c, Options{VerifyEvery: every, UseBlocks: useBlocks, EventSink: ring}); err != nil {
+			t.Fatal(err)
+		}
+		var gates []int
+		for _, e := range ring.Events() {
+			if e.Kind == obs.KindVerify {
+				gates = append(gates, e.Gate)
+			}
+		}
+		return gates
+	}
+	seq, blk := passes(false), passes(true)
+	for _, run := range []struct {
+		name  string
+		gates []int
+	}{{"sequential", seq}, {"blocks", blk}} {
+		last := 0
+		for _, g := range run.gates {
+			if g-last > every+body {
+				t.Fatalf("%s: verify passes at gates %v: gap %d..%d exceeds every+body = %d",
+					run.name, run.gates, last, g, every+body)
+			}
+			last = g
+		}
+		if n := len(c.Gates); n-last > every+body {
+			t.Fatalf("%s: no verify pass in the last %d gates", run.name, n-last)
+		}
+	}
+	if len(blk) < len(seq)/2 {
+		t.Fatalf("blocks made %d verify passes, sequential %d", len(blk), len(seq))
 	}
 }
 
