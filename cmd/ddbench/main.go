@@ -27,7 +27,8 @@
 //
 // -parallel N runs the independent cells of an experiment (baselines
 // included) through a bounded worker pool, each cell on its own freshly
-// created engine. Marks and node counts are identical to serial mode —
+// created engine; the planner sweep, whose verdict is a timing ratio
+// between cells, always runs serially. Marks and node counts are identical to serial mode —
 // only the timing columns shift with machine load, so use -parallel for
 // mark/telemetry sweeps and serial mode for headline speed-up numbers.
 //

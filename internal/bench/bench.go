@@ -13,8 +13,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"runtime/debug"
 	"time"
 
@@ -343,11 +345,25 @@ type arm struct {
 	opt   core.Options
 }
 
+// errOut receives the cause of every cell marked "error".
+var errOut io.Writer = os.Stderr
+
+// timeCell is Time for workload w under arm a. A failed cell keeps only
+// its mark in the tables, so the cause of an "error" cell is printed to
+// errOut, named by workload and arm.
+func timeCell(w Workload, a arm, cfg Config) Measurement {
+	m := Time(w, a.opt, cfg)
+	if m.Mark() == "error" {
+		fmt.Fprintf(errOut, "bench: %s/%s: %v\n", w.Name, a.label, m.Err)
+	}
+	return m
+}
+
 // measureGrid times every workload under every arm — one cell each,
 // through runCells — and returns the cells as ms[workload][arm].
 func measureGrid(cfg Config, ws []Workload, arms []arm) ([][]Measurement, error) {
 	flat, err := runCells(cfg, len(ws)*len(arms), func(i int, cfg Config) Measurement {
-		return Time(ws[i/len(arms)], arms[i%len(arms)].opt, cfg)
+		return timeCell(ws[i/len(arms)], arms[i%len(arms)], cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -397,6 +413,7 @@ func runCells(cfg Config, n int, measure func(i int, cfg Config) Measurement) ([
 		// Cells report failures through Measurement marks; pool-level
 		// errors only arise from panics the measurement did not absorb.
 		if pr.Err != nil {
+			fmt.Fprintf(errOut, "bench: cell %d: %v\n", i, pr.Err)
 			out[i] = Measurement{Err: pr.Err}
 			continue
 		}

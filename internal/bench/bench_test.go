@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,8 +118,12 @@ func TestFig5Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tables) != 3 {
+		t.Fatalf("Fig. 5 returned %d tables, want sampled trace, work and full trace", len(tables))
+	}
+	sampled, work, trace := tables[0], tables[1], tables[2]
 	rows := map[string]int{}
-	for _, r := range tables[1].Rows {
+	for _, r := range trace.Rows {
 		rows[r[0].Mark]++
 	}
 	if rows["sequential"] == 0 || rows["combined"] == 0 {
@@ -128,12 +133,25 @@ func TestFig5Shapes(t *testing.T) {
 		t.Fatalf("combining should reduce the number of applications: %d vs %d",
 			rows["combined"], rows["sequential"])
 	}
-	out := tables[0].Text()
-	if !strings.Contains(out, "state nodes") || !strings.Contains(out, "recursions") {
-		t.Fatalf("rendered Fig.5 incomplete:\n%s", out)
+	if len(work.Rows) != 2 {
+		t.Fatalf("work table has %d rows, want sequential and combined", len(work.Rows))
 	}
-	if tables[0].CSV() != "" || tables[1].Text() != "" {
-		t.Fatal("Fig. 5 prints the sampled trace and writes the full one")
+	for _, r := range work.Rows {
+		if r[1].V == 0 {
+			t.Fatalf("missing work counters: %s has 0 recursions", r[0].Mark)
+		}
+		if math.IsNaN(r[2].V) || math.IsInf(r[2].V, 0) || r[2].V <= 0 {
+			t.Fatalf("%s work ratio %v", r[0].Mark, r[2].V)
+		}
+	}
+	out := sampled.Text() + work.Text()
+	for _, want := range []string{"state nodes", "recursions", "less_work"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendered Fig.5 missing %q:\n%s", want, out)
+		}
+	}
+	if sampled.CSV() != "" || work.CSV() != "" || trace.Text() != "" {
+		t.Fatal("Fig. 5 prints the sampled trace and the work totals and writes the full trace")
 	}
 }
 
@@ -373,14 +391,21 @@ func TestTimeReportsOOM(t *testing.T) {
 
 // TestSweepResilient checks that one blown workload cannot kill a
 // sweep: its cells carry marks while the healthy workload still
-// produces speed-ups, and the rendered/CSV outputs surface the marks.
+// produces speed-ups, the rendered/CSV outputs surface the marks, and
+// each error cell's cause is reported with its workload and arm.
 func TestSweepResilient(t *testing.T) {
-	boom := Workload{Name: "boom", Run: func(core.Options) error { return errors.New("boom") }}
+	var causes strings.Builder
+	errOut = &causes
+	t.Cleanup(func() { errOut = os.Stderr })
+	boom := Workload{Name: "boom", Run: func(core.Options) error { return errors.New("kaput") }}
 	ws := []Workload{GroverWorkload(6), boom}
 	cfg := Config{Reps: 1, Budget: time.Minute}
 	tables, err := sweep(cfg, testSpec("resilient sweep", 2, 4), ws)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := causes.String(), "bench: boom/baseline: kaput\nbench: boom/2: kaput\nbench: boom/4: kaput\n"; got != want {
+		t.Fatalf("error causes reported as %q, want %q", got, want)
 	}
 	sp := tables[0]
 	for _, row := range sp.Rows[1:] {

@@ -31,7 +31,8 @@ func PlannerSweep(cfg Config) ([]*Table, error) {
 // conditions. Within a rep each workload's planner cell runs first:
 // combine-all (always in the fixed set, frequently a timeout) retires
 // with a multi-GB heap whose allocator residue slows whatever follows,
-// and the comparison target must not systematically inherit it. Cells
+// and the comparison target must not systematically inherit it. That
+// order only holds serially, so the sweep ignores cfg.Parallel. Cells
 // that die (timeout/oom) are not retried on later reps — re-running
 // them would re-pay the full budget per rep for a cell whose verdict
 // cannot change.
@@ -51,14 +52,14 @@ func plannerSweep(cfg Config, ws []Workload) ([]*Table, error) {
 		{"combine-all", core.Options{Strategy: core.CombineAll{}}},
 	}
 	oneRep := cfg
-	oneRep.Reps = 1
+	oneRep.Reps, oneRep.Parallel = 1, 1
 	best := make([]Measurement, len(ws)*len(arms))
 	for rep := 0; rep < cfg.reps(); rep++ {
 		ms, err := runCells(oneRep, len(best), func(i int, cfg Config) Measurement {
 			if rep > 0 && best[i].Mark() != "" {
 				return best[i]
 			}
-			return Time(ws[i/len(arms)], arms[i%len(arms)].opt, cfg)
+			return timeCell(ws[i/len(arms)], arms[i%len(arms)], cfg)
 		})
 		if err != nil {
 			return nil, err
